@@ -29,9 +29,9 @@
    --jobs 1; also the CRUSADE_JOBS env var).  For the speedup subcommand
    it sets the largest jobs count measured (default 4).
 
-   --no-prune / --no-memo / --no-incremental disable the evaluator
-   stages (the stage-1 tardiness lower bound, the stage-2 schedule memo
-   table, the incremental prefix-replay engine); results are
+   --no-incremental selects the reference evaluator: every candidate
+   evaluation is a full scheduler run, with neither the stage-1
+   tardiness lower bound nor incremental prefix replay; results are
    bit-identical either way, only the timings move.
 
    --only NAME[,NAME] restricts table2/table3 to the named examples.
@@ -52,7 +52,7 @@
 
    Alongside the text tables, every synthesis run is appended to a
    machine-readable BENCH.json (per-workload wall/cpu seconds, cost,
-   prune/memo-hit counters, jobs); --bench-out PATH overrides the
+   evaluator counters, jobs); --bench-out PATH overrides the
    destination.
 
    --trace FILE writes a Chrome trace_event JSON profile covering every
@@ -219,17 +219,13 @@ type scenario_record = {
 
 let scenario_records : scenario_record list ref = ref []
 
-let write_bench_json ~prune ~memo ~incremental ~incremental_merge path =
+let write_bench_json ~incremental path =
   let entries = List.rev !bench_records in
   let oc = open_out path in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"crusade-bench-2\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"prune\": %b,\n" prune);
-  Buffer.add_string b (Printf.sprintf "  \"memo\": %b,\n" memo);
   Buffer.add_string b (Printf.sprintf "  \"incremental\": %b,\n" incremental);
-  Buffer.add_string b
-    (Printf.sprintf "  \"incremental_merge\": %b,\n" incremental_merge);
   Buffer.add_string b "  \"entries\": [";
   List.iteri
     (fun i e ->
@@ -265,15 +261,12 @@ let write_bench_json ~prune ~memo ~incremental ~incremental_merge path =
            "\n    {\"table\": %S, \"example\": %S, \"variant\": %S, \"jobs\": %d, \
             \"scale\": %d, \
             \"wall_seconds\": %.6f, \"cpu_seconds\": %.6f, \"cost\": %.3f, \
-            \"deadlines_met\": %b, \"pruned\": %d, \"memo_hits\": %d, \
-            \"memo_misses\": %d, \"memo_bypassed\": %d, \"rollbacks\": %d, \
+            \"deadlines_met\": %b, \"pruned\": %d, \"rollbacks\": %d, \
             \"replays\": %d, \"rebuilds\": %d, \"merge_replays\": %d, \
             \"merge_rebuilds\": %d, \"basis_adoptions\": %d, \
             \"basis_cuts\": %d%s%s}"
            e.br_table e.br_example e.br_variant e.br_jobs e.br_scale e.br_wall
-           e.br_cpu e.br_cost e.br_met e.br_stats.C.pruned
-           e.br_stats.C.memo_hits e.br_stats.C.memo_misses
-           e.br_stats.C.memo_bypassed e.br_stats.C.rollbacks
+           e.br_cpu e.br_cost e.br_met e.br_stats.C.pruned e.br_stats.C.rollbacks
            e.br_stats.C.replays e.br_stats.C.rebuilds
            e.br_stats.C.merge_replays e.br_stats.C.merge_rebuilds
            e.br_stats.C.basis_adoptions e.br_stats.C.basis_cuts audit_fields
@@ -336,17 +329,14 @@ let run_flow ~portfolio ~jobs ~options ~flow ~cost ~met =
     | Error msg -> Error msg
   end
 
-let synth_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
+let synth_row ~jobs ~incremental ~portfolio
     ~scale ~table ~example spec lib reconfig =
   let options =
     {
       C.default_options with
       dynamic_reconfiguration = reconfig;
       jobs;
-      prune;
-      memo;
       incremental;
-      incremental_merge;
       trace = !trace_sink;
     }
   in
@@ -378,17 +368,14 @@ let synth_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
       (r.C.n_pes, r.C.n_links, r.C.cpu_seconds, r.C.cost, r.C.deadlines_met)
   | Error msg -> failwith msg
 
-let ft_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio ~scale
+let ft_row ~jobs ~incremental ~portfolio ~scale
     ~table ~example spec lib reconfig =
   let options =
     {
       C.default_options with
       dynamic_reconfiguration = reconfig;
       jobs;
-      prune;
-      memo;
       incremental;
-      incremental_merge;
       trace = !trace_sink;
     }
   in
@@ -476,31 +463,31 @@ let comparison_table ~title ~paper ~scale ~only ~row_of =
        ~header rows);
   print_newline ()
 
-let table2 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
+let table2 ~scale ~jobs ~incremental ~portfolio
     ~only () =
   comparison_table
     ~title:"Table 2: efficacy of CRUSADE (- without / + with dynamic reconfiguration)"
     ~paper:paper_table2 ~scale ~only
     ~row_of:
-      (synth_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
+      (synth_row ~jobs ~incremental ~portfolio
          ~scale ~table:"table2")
 
-let table3 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
+let table3 ~scale ~jobs ~incremental ~portfolio
     ~only () =
   comparison_table
     ~title:
       "Table 3: efficacy of CRUSADE-FT (- without / + with dynamic reconfiguration)"
     ~paper:paper_table3 ~scale ~only
     ~row_of:
-      (ft_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
+      (ft_row ~jobs ~incremental ~portfolio
          ~scale ~table:"table3")
 
-let figures ~prune ~memo ~incremental ~incremental_merge () =
+let figures ~incremental () =
   print_endline "== Fig. 2 motivation example (small library) ==";
   let lib = Crusade_resource.Library.small () in
   let spec = Ex.figure2 lib in
   let fig_row =
-    synth_row ~jobs:1 ~prune ~memo ~incremental ~incremental_merge ~portfolio:1
+    synth_row ~jobs:1 ~incremental ~portfolio:1
       ~scale:1 ~table:"figures" ~example:"figure2"
   in
   let p0, l0, _, c0, _ = fig_row spec lib false in
@@ -517,10 +504,7 @@ let figures ~prune ~memo ~incremental ~incremental_merge () =
     {
       C.default_options with
       dynamic_reconfiguration = true;
-      prune;
-      memo;
       incremental;
-      incremental_merge;
       trace = !trace_sink;
     }
   in
@@ -611,7 +595,7 @@ let ablation () =
       row "eval window 4" { d with C.eval_window = 4 };
       row "no merge phase" { d with C.merge_trials_per_pass = 0 };
       row "no reconfiguration" { d with C.dynamic_reconfiguration = false };
-      row "no incremental rescheduling" { d with C.incremental = false };
+      row "reference evaluator" { d with C.incremental = false };
     ]
   in
   print_string
@@ -846,10 +830,7 @@ let () =
   (* 0 = one trajectory per available domain (Pool.size); resolved here
      so every row reports the concrete trajectory count. *)
   let portfolio = C.Portfolio.resolve_n (int_flag ~min:0 "--portfolio" 1) in
-  let prune = not (List.mem "--no-prune" args) in
-  let memo = not (List.mem "--no-memo" args) in
   let incremental = not (List.mem "--no-incremental" args) in
-  let incremental_merge = not (List.mem "--no-incremental-merge" args) in
   let only =
     match string_flag "--only" "" with
     | "" -> []
@@ -883,13 +864,13 @@ let () =
                 ])
             args)
   in
-  if wants "figures" then figures ~prune ~memo ~incremental ~incremental_merge ();
+  if wants "figures" then figures ~incremental ();
   if wants "table1" then table1 ();
   if wants "table2" then
-    table2 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
+    table2 ~scale ~jobs ~incremental ~portfolio
       ~only ();
   if wants "table3" then
-    table3 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
+    table3 ~scale ~jobs ~incremental ~portfolio
       ~only ();
   if wants "ablation" then ablation ();
   if wants "scenarios" then
@@ -900,7 +881,7 @@ let () =
   if List.mem "speedup" args then
     speedup ~max_jobs:(int_flag "--jobs" 4) ();
   if !bench_records <> [] || !scenario_records <> [] then
-    write_bench_json ~prune ~memo ~incremental ~incremental_merge bench_out;
+    write_bench_json ~incremental bench_out;
   match (trace_out, !trace_sink) with
   | Some path, Some t ->
       Crusade_util.Trace.write_file t path;

@@ -159,20 +159,13 @@ let pp_portfolio_summary (stats : C.Portfolio.stats) ~best_index ~best_cost
 
 let no_incremental_arg =
   let doc =
-    "Disable incremental rescheduling (candidate evaluation by prefix replay \
-     of the last full scheduler run).  Results are bit-identical with it on \
-     or off; only the synthesis time moves.  Escape hatch and A/B lever."
+    "Use the reference evaluator: every candidate evaluation is a full \
+     scheduler run, with neither the stage-1 tardiness bound nor prefix \
+     replay of the last full run.  Results are bit-identical with it on or \
+     off; only the synthesis time moves.  The oracle the default is tested \
+     against."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let no_incremental_merge_arg =
-  let doc =
-    "Disable the incremental merge phase (sequential merge trials as \
-     journaled in-place deltas on the live architecture instead of per-trial \
-     deep copies).  Results are bit-identical with it on or off; only the \
-     synthesis time moves.  Escape hatch and A/B lever."
-  in
-  Arg.(value & flag & info [ "no-incremental-merge" ] ~doc)
 
 let audit_arg =
   let doc =
@@ -201,14 +194,13 @@ let audit_exit ~audit violations base_exit =
         3
   end
 
-let options_with ~no_reconfig ~no_incremental ~no_incremental_merge ~copy_cap
+let options_with ~no_reconfig ~no_incremental ~copy_cap
     ~eval_window ~trace =
   let opts =
     {
       C.default_options with
       dynamic_reconfiguration = not no_reconfig;
       incremental = not no_incremental;
-      incremental_merge = not no_incremental_merge;
     }
   in
   let opts =
@@ -232,7 +224,7 @@ let with_trace trace_file k =
       | _ -> ())
     (fun () -> k trace)
 
-let synth_run name scale no_reconfig no_incremental no_incremental_merge
+let synth_run name scale no_reconfig no_incremental
     copy_cap eval_window seed trace_file audit portfolio budget_ms quality =
   match spec_of_name ?seed name scale with
   | Error msg ->
@@ -241,7 +233,7 @@ let synth_run name scale no_reconfig no_incremental no_incremental_merge
   | Ok (spec, lib) ->
       with_trace trace_file (fun trace ->
           let options =
-            options_with ~no_reconfig ~no_incremental ~no_incremental_merge
+            options_with ~no_reconfig ~no_incremental
               ~copy_cap ~eval_window ~trace
           in
           let n = resolve_portfolio portfolio quality in
@@ -282,7 +274,7 @@ let synth_run name scale no_reconfig no_incremental no_incremental_merge
                 prerr_endline msg;
                 1)
 
-let ft_run name scale no_reconfig no_incremental no_incremental_merge copy_cap
+let ft_run name scale no_reconfig no_incremental copy_cap
     eval_window seed trace_file audit portfolio budget_ms quality =
   match spec_of_name ?seed name scale with
   | Error msg ->
@@ -291,7 +283,7 @@ let ft_run name scale no_reconfig no_incremental no_incremental_merge copy_cap
   | Ok (spec, lib) ->
       with_trace trace_file (fun trace ->
       let options =
-        options_with ~no_reconfig ~no_incremental ~no_incremental_merge
+        options_with ~no_reconfig ~no_incremental
           ~copy_cap ~eval_window ~trace
       in
       let report (r : F.result) portfolio_outcome =
@@ -395,7 +387,7 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc)
     Term.(
       const synth_run $ name_arg $ scale_arg $ reconfig_arg $ no_incremental_arg
-      $ no_incremental_merge_arg $ copy_cap_arg $ eval_window_arg $ seed_arg
+      $ copy_cap_arg $ eval_window_arg $ seed_arg
       $ trace_arg $ audit_arg $ portfolio_arg $ budget_ms_arg $ quality_arg)
 
 let ft_cmd =
@@ -403,7 +395,7 @@ let ft_cmd =
   Cmd.v (Cmd.info "ft" ~doc)
     Term.(
       const ft_run $ name_arg $ scale_arg $ reconfig_arg $ no_incremental_arg
-      $ no_incremental_merge_arg $ copy_cap_arg $ eval_window_arg $ seed_arg
+      $ copy_cap_arg $ eval_window_arg $ seed_arg
       $ trace_arg $ audit_arg $ portfolio_arg $ budget_ms_arg $ quality_arg)
 
 let delay_cmd =
@@ -622,7 +614,7 @@ let scratch_of_change options spec lib change =
       | Error _ as e -> e)
 
 let resynth_run name scale change_kind graphs pe drift_pct change_json
-    no_reconfig no_incremental no_incremental_merge copy_cap eval_window seed
+    no_reconfig no_incremental copy_cap eval_window seed
     trace_file audit compare =
   match change_of_flags ~change_kind ~graphs ~pe ~drift_pct ~change_json with
   | Error msg ->
@@ -636,7 +628,7 @@ let resynth_run name scale change_kind graphs pe drift_pct change_json
       | Ok (spec, lib) ->
           with_trace trace_file (fun trace ->
               let options =
-                options_with ~no_reconfig ~no_incremental ~no_incremental_merge
+                options_with ~no_reconfig ~no_incremental
                   ~copy_cap ~eval_window ~trace
               in
               (* Arrivals/upgrades are deployed without the arriving
@@ -776,7 +768,7 @@ let resynth_cmd =
     Term.(
       const resynth_run $ name_arg $ scale_arg $ change_kind_arg $ graphs_arg
       $ pe_arg $ drift_pct_arg $ change_json_arg $ reconfig_arg
-      $ no_incremental_arg $ no_incremental_merge_arg $ copy_cap_arg
+      $ no_incremental_arg $ copy_cap_arg
       $ eval_window_arg $ seed_arg $ trace_arg $ audit_arg $ compare_arg)
 
 let spec_cmd =

@@ -1,10 +1,9 @@
 (* crusade_fuzz — deterministic fuzz / differential harness.
 
    Seeds drive [Comm_system.generate] parameters; every seed is
-   synthesized under the full evaluator-configuration matrix
-   ({prune,memo} on/off x incremental rescheduling on/off x incremental
-   merge on/off x jobs 1/N x dynamic reconfiguration on/off) and the
-   harness asserts that
+   synthesized under the evaluator-configuration matrix (default vs
+   reference evaluator x jobs 1/N x dynamic reconfiguration on/off) and
+   the harness asserts that
 
    (a) within each reconfiguration flavor, every evaluator configuration
        produces a bit-identical result (cost, counts, verdict and the
@@ -147,23 +146,16 @@ let json_params (p : W.params) =
 
 type config = {
   reconfig : bool;
-  prune : bool;
-  memo : bool;
-  inc : bool;  (* incremental rescheduling *)
-  inc_merge : bool;  (* in-place journaled merge trials *)
+  inc : bool;  (* false: the reference evaluator, a full run per evaluation *)
   jobs : int;
 }
 
 let json_config c =
-  Printf.sprintf
-    "{\"reconfig\": %b, \"prune\": %b, \"memo\": %b, \"incremental\": %b, \
-     \"incremental_merge\": %b, \"jobs\": %d}"
-    c.reconfig c.prune c.memo c.inc c.inc_merge c.jobs
+  Printf.sprintf "{\"reconfig\": %b, \"incremental\": %b, \"jobs\": %d}"
+    c.reconfig c.inc c.jobs
 
 let describe_config c =
-  Printf.sprintf
-    "reconfig=%b prune=%b memo=%b incremental=%b incremental_merge=%b jobs=%d"
-    c.reconfig c.prune c.memo c.inc c.inc_merge c.jobs
+  Printf.sprintf "reconfig=%b incremental=%b jobs=%d" c.reconfig c.inc c.jobs
 
 (* One failure is enough: the repro is minimized by construction (a
    single seed, its generator parameters and the offending
@@ -207,27 +199,19 @@ let params_of_seed seed =
     cpld_fraction = Rng.float rng 0.2;
   }
 
+(* Every configuration must reproduce the first one, the default, bit
+   for bit: the in-place and pooled producers (jobs 1 vs N), and the
+   reference evaluator (a full scheduler run per evaluation) at both. *)
 let configs_of ~jobs_max reconfig =
-  [
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = true; jobs = 1 };
-    { reconfig; prune = false; memo = false; inc = true; inc_merge = true; jobs = 1 };
-    { reconfig; prune = true; memo = true; inc = false; inc_merge = true; jobs = 1 };
-    { reconfig; prune = false; memo = false; inc = false; inc_merge = true; jobs = 1 };
-    (* incremental-merge off: batch per-trial copies must reproduce the
-       in-place journaled merge loop bit for bit *)
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = false; jobs = 1 };
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = true; jobs = jobs_max };
-    { reconfig; prune = false; memo = false; inc = false; inc_merge = true; jobs = jobs_max };
-  ]
+  List.concat_map
+    (fun inc -> [ { reconfig; inc; jobs = 1 }; { reconfig; inc; jobs = jobs_max } ])
+    [ true; false ]
 
 let options_of (c : config) =
   {
     Core.default_options with
     Core.dynamic_reconfiguration = c.reconfig;
-    prune = c.prune;
-    memo = c.memo;
     incremental = c.inc;
-    incremental_merge = c.inc_merge;
     jobs = c.jobs;
   }
 
@@ -257,7 +241,7 @@ let violation_strings vs =
    abort never killed a trajectory that would have won. *)
 let portfolio_checks ~out ~jobs_max ~seed ~params ~spec ~ref_sig reconfig =
   let config jobs =
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = true; jobs }
+    { reconfig; inc = true; jobs }
   in
   let flow o = Core.synthesize ~options:o spec lib in
   let cost (r : Core.result) = r.Core.cost in
@@ -875,7 +859,7 @@ let () =
   else begin
     let n = a.seed_hi - a.seed_lo + 1 in
     Printf.printf
-      "fuzzing seeds %d..%d (%d seeds x 14 configurations + portfolio \
+      "fuzzing seeds %d..%d (%d seeds x 8 configurations + portfolio \
        {1,4}x{bound on,off} + resynth differential + serve round-trip, \
        jobs_max=%d)\n%!"
       a.seed_lo a.seed_hi n a.jobs_max;

@@ -29,8 +29,7 @@ let new_pe_cost (ptype : Pe.t) =
   ptype.Pe.cost +. extra
 
 (* Would the cluster fit this PE instance/mode right now? *)
-let fits arch (cluster : Clustering.cluster) (pe : Arch.pe_inst) (mode : Arch.mode) =
-  ignore arch;
+let fits (cluster : Clustering.cluster) (pe : Arch.pe_inst) (mode : Arch.mode) =
   cluster.feasible_mask land (1 lsl pe.Arch.ptype.Pe.id) <> 0
   &&
   match pe.Arch.ptype.Pe.pe_class with
@@ -106,7 +105,7 @@ let enumerate arch spec clustering (cluster : Clustering.cluster) ~allow_new_mod
                  | None -> true)
                  && other_modes_compatible pe mode.Arch.m_id
             in
-            if mode_allowed && fits arch cluster pe mode then begin
+            if mode_allowed && fits cluster pe mode then begin
               (* Prefer packing a cluster with graphs it overlaps in time
                  (they must share the mode anyway, Fig. 4's C3); packing
                  it with compatible graphs would waste a time-sharing
@@ -136,7 +135,7 @@ let enumerate arch spec clustering (cluster : Clustering.cluster) ~allow_new_mod
         then begin
           (* A fresh mode always has full (capped) capacity. *)
           let empty = { Arch.m_id = -1; m_clusters = []; m_gates = 0; m_pins = 0 } in
-          if fits arch cluster pe empty then
+          if fits cluster pe empty then
             new_modes :=
               {
                 kind = New_mode pe.Arch.p_id;

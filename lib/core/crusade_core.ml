@@ -5,7 +5,7 @@ module Clustering = Crusade_cluster.Clustering
 module Arch = Crusade_alloc.Arch
 module Options = Crusade_alloc.Options
 module Schedule = Crusade_sched.Schedule
-module Memo = Crusade_sched.Memo
+module Evaluator = Crusade_sched.Evaluator
 module Incremental = Crusade_sched.Incremental
 module Merge = Crusade_reconfig.Merge
 module Interface = Crusade_reconfig.Interface
@@ -65,10 +65,7 @@ type options = {
   merge_trials_per_pass : int;
   allow_new_pes : bool;
   jobs : int;
-  prune : bool;
-  memo : bool;
   incremental : bool;
-  incremental_merge : bool;
   trace : Trace.t option;
   portfolio : traj option;
   cancel : (unit -> bool) option;
@@ -84,10 +81,7 @@ let default_options =
     merge_trials_per_pass = 400;
     allow_new_pes = true;
     jobs = Pool.default_jobs ();
-    prune = true;
-    memo = true;
     incremental = true;
-    incremental_merge = true;
     trace = None;
     portfolio = None;
     cancel = None;
@@ -135,13 +129,13 @@ type result = {
 let wall_now () = Unix.gettimeofday ()
 
 (* Per-run evaluator state, created at flow start and dropped with the
-   run: the stage-2 memo table (entries retain whole specs and
+   run: the candidate evaluator (its recordings retain whole
    architectures, so it must not outlive the run), the metrics registry
    its counters live in, and the trace sink.  Nothing here is
    process-global — back-to-back or concurrent syntheses report fully
-   independent [eval_stats] and can never share a memo entry. *)
+   independent [eval_stats]. *)
 type ctx = {
-  memo : Memo.t;
+  eval : Evaluator.t;
   metrics : Trace.Metrics.t;
   rollback_counter : Trace.Counter.t;
   trace : Trace.t option;
@@ -186,9 +180,9 @@ let make_ctx (opts : options) =
     | None -> None
   in
   {
-    memo =
-      Memo.create ~enabled:opts.memo ~incremental:opts.incremental
-        ?basis_store ?trace:opts.trace ~metrics ();
+    eval =
+      Evaluator.create ~incremental:opts.incremental ?basis_store
+        ?trace:opts.trace ~metrics ();
     metrics;
     rollback_counter = Trace.Metrics.counter metrics "eval.rollbacks";
     trace = opts.trace;
@@ -200,17 +194,17 @@ let make_ctx (opts : options) =
 
 let eval_stats_of ctx =
   {
-    pruned = Memo.prunes ctx.memo;
-    memo_hits = Memo.hits ctx.memo;
-    memo_misses = Memo.misses ctx.memo;
-    memo_bypassed = Memo.bypasses ctx.memo;
+    pruned = Evaluator.prunes ctx.eval;
+    memo_hits = 0;
+    memo_misses = 0;
+    memo_bypassed = 0;
     rollbacks = Trace.Counter.get ctx.rollback_counter;
-    replays = Memo.replays ctx.memo;
-    rebuilds = Memo.rebuilds ctx.memo;
+    replays = Evaluator.replays ctx.eval;
+    rebuilds = Evaluator.rebuilds ctx.eval;
     merge_replays = ctx.merge_replays;
     merge_rebuilds = ctx.merge_rebuilds;
-    basis_adoptions = Memo.adoptions ctx.memo;
-    basis_cuts = Memo.basis_cuts ctx.memo;
+    basis_adoptions = Evaluator.adoptions ctx.eval;
+    basis_cuts = Evaluator.basis_cuts ctx.eval;
     traj_launched = 0;
     traj_completed = 0;
     traj_aborted = 0;
@@ -309,20 +303,17 @@ let floor_all arch =
     0.0 arch.Arch.pes
 
 (* One counter sample per phase boundary: the evaluator counters as a
-   Chrome counter track, so the trace shows where the prunes/hits
+   Chrome counter track, so the trace shows where the prunes/replays
    accumulate. *)
 let sample_eval_counters ctx =
   Trace.counter ctx.trace "eval_stats"
     [
-      ("pruned", Memo.prunes ctx.memo);
-      ("memo_hits", Memo.hits ctx.memo);
-      ("memo_misses", Memo.misses ctx.memo);
-      ("memo_bypassed", Memo.bypasses ctx.memo);
+      ("pruned", Evaluator.prunes ctx.eval);
       ("rollbacks", Trace.Counter.get ctx.rollback_counter);
-      ("replays", Memo.replays ctx.memo);
-      ("rebuilds", Memo.rebuilds ctx.memo);
-      ("basis_adoptions", Memo.adoptions ctx.memo);
-      ("basis_cuts", Memo.basis_cuts ctx.memo);
+      ("replays", Evaluator.replays ctx.eval);
+      ("rebuilds", Evaluator.rebuilds ctx.eval);
+      ("basis_adoptions", Evaluator.adoptions ctx.eval);
+      ("basis_cuts", Evaluator.basis_cuts ctx.eval);
     ]
 
 let n_modes arch =
@@ -333,287 +324,182 @@ let n_modes arch =
 
 (* Allocate one cluster: evaluate the allocation array in increasing-cost
    order; commit the first allocation whose schedule meets all deadlines,
-   falling back to the least-tardy evaluated option.
+   falling back to the least-tardy evaluated option.  The winner is
+   applied to [arch], the architecture passed in.
 
-   Candidate evaluation is two-staged.  Stage 1 is the admissible bound
-   [Schedule.estimate]: a candidate whose bound is already positive
-   cannot be feasible, and when the bound paired with the candidate's
-   exact cost does not beat the incumbent fallback score either, the
-   full schedule can change nothing — the candidate is dropped without
-   timeline construction (counted against the window exactly like its
-   full evaluation would have been).  Stage 2 is the memoized scheduler
-   [Memo.run].  Both stages preserve the committed candidate bit for
-   bit; [opts.prune]/[opts.memo] switch them off for A/B runs.
+   Each candidate goes through the run's evaluator: stage 1, the
+   admissible bound, drops a candidate that cannot be feasible and
+   whose bound paired with its exact cost does not beat the incumbent
+   fallback score either (counted against the window exactly like its
+   full evaluation would have been); stage 2 replays or runs its
+   schedule.  Both stages preserve the committed candidate bit for bit.
 
-   With [opts.jobs = 1] candidates are trialled directly on the base
-   architecture under the undo journal (checkpoint, mutate, schedule,
-   rollback), sparing a deep [Arch.copy] per candidate; the winner is
-   re-applied to the pristine base, which reproduces the deep-copy
-   path's architecture exactly because rollback restores the base bit
-   for bit.  With [opts.jobs > 1] the candidates are evaluated
-   speculatively in index-ordered batches on the domain pool — each
-   evaluation works on its own [Arch.copy], so they are independent —
-   and the batch results are then consumed in index order through
-   exactly the sequential search's state machine (window guard,
-   first-feasible commit, least-tardy fallback).  The committed
-   candidate is therefore the one the sequential search would have
-   committed; parallelism only changes how many candidates past the
+   One state machine — window guard, first-feasible commit, least-tardy
+   fallback held as a candidate index — consumes the outcomes in index
+   order from one of two producers.  At [opts.jobs = 1] a candidate is
+   trialled directly on [arch] under the undo journal (checkpoint,
+   mutate, schedule, rollback), and a feasible trial stays applied.  At
+   [opts.jobs > 1] candidates are evaluated speculatively in
+   index-ordered batches on the domain pool, each on its own
+   [Arch.copy]; parallelism only changes how many candidates past the
    commit point were (wastefully) evaluated, and its stage-1 incumbent
-   is snapshotted at batch dispatch, which can only prune less than the
-   sequential search, never differently. *)
+   is snapshotted at batch dispatch, which can only prune less, never
+   differently.  A winner that is not already applied is re-applied to
+   [arch], which reproduces the trial architecture exactly because
+   rollback restores the base bit for bit. *)
 let allocate_cluster ~opts ~ctx spec clustering arch cluster =
   let candidates =
-    Options.enumerate arch spec clustering cluster
-      ~allow_new_modes:opts.dynamic_reconfiguration
-      ~max_new_pe:(if opts.allow_new_pes then 16 else 0)
-      ()
+    Array.of_list
+      (Options.enumerate arch spec clustering cluster
+         ~allow_new_modes:opts.dynamic_reconfiguration
+         ~max_new_pe:(if opts.allow_new_pes then 16 else 0)
+         ())
   in
-  if candidates = [] then
-    Error
-      (Printf.sprintf "cluster %d (graph %d) fits no PE type" cluster.Clustering.cid
-         cluster.Clustering.graph)
-  else begin
-    let debug = Sys.getenv_opt "CRUSADE_DEBUG" <> None in
-    let candidates = Array.of_list candidates in
-    (* Portfolio perturbation: allocation tie-break jitter.  The
-       candidate array arrives sorted by (delta cost, affinity desc); a
-       multiplicative jitter on the delta-cost key reorders near-ties so
-       perturbed trajectories explore different commit orders.  The sort
-       falls back to the original index, so equal keys keep the
-       unperturbed order, and exactly one draw per candidate keeps the
-       trajectory's stream aligned whatever the evaluation path does. *)
-    let candidates =
-      match ctx.perturb with
-      | None -> candidates
-      | Some rng ->
-          let keyed =
-            Array.mapi
-              (fun i (c : Options.t) ->
-                (c.Options.delta_cost *. (1.0 +. Rng.float rng 0.15), i, c))
-              candidates
-          in
-          Array.sort
-            (fun (ka, ia, _) (kb, ib, _) ->
-              match compare (ka : float) kb with 0 -> compare ia ib | c -> c)
-            keyed;
-          Array.map (fun (_, _, c) -> c) keyed
-    in
-    let n = Array.length candidates in
-    let jobs = max 1 opts.jobs in
-    let rollback a ck =
-      Trace.Counter.incr ctx.rollback_counter;
-      Arch.rollback a ck
-    in
-    (* Stage 1 on an applied candidate: [Some] iff the bound alone
-       settles it — [`Unschedulable] when the disconnection check
-       matches [run]'s failure, [`Dominated] when the bound proves the
-       candidate infeasible and no better than the incumbent score. *)
-    let stage1 incumbent trial =
-      (* Without an incumbent the bound cannot settle anything (an
-         infeasible candidate must still be evaluated to seed the
-         least-tardy fallback), so it isn't worth computing. *)
+  (* Portfolio perturbation: allocation tie-break jitter.  The
+     candidate array arrives sorted by (delta cost, affinity desc); a
+     multiplicative jitter on the delta-cost key reorders near-ties so
+     perturbed trajectories explore different commit orders.  The sort
+     falls back to the original index, so equal keys keep the
+     unperturbed order, and exactly one draw per candidate keeps the
+     trajectory's stream aligned whatever the evaluation path does. *)
+  let candidates =
+    match ctx.perturb with
+    | None -> candidates
+    | Some rng ->
+        let keyed =
+          Array.mapi
+            (fun i (c : Options.t) ->
+              (c.Options.delta_cost *. (1.0 +. Rng.float rng 0.15), i, c))
+            candidates
+        in
+        Array.sort
+          (fun (ka, ia, _) (kb, ib, _) ->
+            match compare (ka : float) kb with 0 -> compare ia ib | c -> c)
+          keyed;
+        Array.map (fun (_, _, c) -> c) keyed
+  in
+  let n = Array.length candidates in
+  let jobs = max 1 opts.jobs in
+  let rollback ck =
+    Trace.Counter.incr ctx.rollback_counter;
+    Arch.rollback arch ck
+  in
+  (* The outcome of a candidate applied to [trial].  Without an
+     incumbent, stage 1 cannot settle anything (an infeasible candidate
+     must still be evaluated to seed the fallback), so it is skipped. *)
+  let judge incumbent trial =
+    let pruned =
       match incumbent with
-      | None -> None
-      | Some best_score when opts.prune -> (
-          match Memo.estimate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial with
+      | None -> false
+      | Some best_score ->
+          Evaluator.prune ctx.eval ~copy_cap:opts.copy_cap spec clustering trial
+            (fun lb -> lb > 0 && best_score <= (lb, Arch.cost trial))
+    in
+    if pruned then `Rejected
+    else
+      match Evaluator.evaluate ctx.eval ~copy_cap:opts.copy_cap spec clustering trial with
+      | Error _ -> `Rejected
+      | Ok v when v.Schedule.v_met -> `Feasible
+      | Ok v -> `Tardy (v.Schedule.v_tardiness, Arch.cost trial)
+  in
+  let traced i f =
+    Trace.span ctx.trace ~args:[ ("index", Trace.Num i) ] "alloc.candidate" f
+  in
+  (* Producers: the outcomes of the next candidates from [base] on, one
+     at a time at [jobs = 1], up to [jobs] otherwise.  [`Feasible (Some
+     ck)] is a trial left applied to [arch] under the open checkpoint
+     [ck]. *)
+  let in_place incumbent base =
+    [|
+      traced base (fun () ->
+          let ck = Arch.checkpoint arch in
+          match Options.apply arch spec clustering cluster candidates.(base) with
           | Error _ ->
-              Memo.note_prune ctx.memo;
-              Some `Unschedulable
-          | Ok lb ->
-              if lb > 0 && best_score <= (lb, Arch.cost trial) then begin
-                Memo.note_prune ctx.memo;
-                Some `Dominated
-              end
-              else None)
-      | Some _ -> None
-    in
-    (* Trials only need the verdict; [Memo.evaluate] routes through the
-       incremental engine (prefix replay of the last full run) and skips
-       materializing a schedule.  The winner is re-applied and scheduled
-       through [Memo.run] by the caller, so nothing downstream misses
-       the schedule object. *)
-    let schedule_trial trial =
-      Memo.evaluate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial
-    in
-    if jobs = 1 then begin
-      (* Sequential path: journaled trials on the base architecture.
-         The fallback holds the candidate *index* — re-applying it to
-         the rolled-back base reproduces the winning architecture. *)
-      let best_fallback = ref None in
-      let tried = ref 0 in
-      let window_open () = !tried < opts.eval_window || !best_fallback = None in
-      let exception Commit in
-      let reapply idx =
-        match Options.apply arch spec clustering cluster candidates.(idx) with
-        | Ok () -> Ok arch
-        | Error msg -> Error msg
-      in
-      match
-        let i = ref 0 in
-        while !i < n && window_open () do
-          ctx.check_budget ();
-          Trace.span ctx.trace
-            ~args:[ ("index", Trace.Num !i) ]
-            "alloc.candidate"
-            (fun () ->
-              let ck = Arch.checkpoint arch in
-              match Options.apply arch spec clustering cluster candidates.(!i) with
-              | Error _ -> rollback arch ck
-              | Ok () -> (
-                  match stage1 (Option.map fst !best_fallback) arch with
-                  | Some (`Unschedulable | `Dominated) ->
-                      rollback arch ck;
-                      incr tried
-                  | None -> (
-                      match schedule_trial arch with
-                      | Error _ ->
-                          rollback arch ck;
-                          incr tried
-                      | Ok v ->
-                          if v.Schedule.v_met then begin
-                            Arch.commit arch ck;
-                            raise Commit
-                          end
-                          else begin
-                            let score =
-                              (v.Schedule.v_tardiness, Arch.cost arch)
-                            in
-                            (match !best_fallback with
-                            | Some (best_score, _) when best_score <= score -> ()
-                            | _ -> best_fallback := Some (score, !i));
-                            rollback arch ck;
-                            incr tried
-                          end)));
-          incr i
-        done;
-        if !i >= n then begin
-          match !best_fallback with
-          | Some (score, idx) ->
-              if debug then
-                Printf.eprintf
-                  "fallback commit: cluster %d (graph %d) tardiness %d after %d evals\n%!"
-                  cluster.Clustering.cid cluster.Clustering.graph (fst score) !tried;
-              reapply idx
-          | None ->
-              Error
-                (Printf.sprintf "no applicable allocation for cluster %d"
-                   cluster.Clustering.cid)
-        end
-        else begin
-          (* Evaluation window exhausted: settle for the least-tardy
-             option seen. *)
-          match !best_fallback with
-          | Some (_, idx) -> reapply idx
-          | None ->
-              (* The window only closes once a fallback exists
-                 ([window_open]), so this branch is unreachable. *)
-              failwith
-                (Printf.sprintf
-                   "allocate_cluster: evaluation window closed with no \
-                    fallback for cluster %d (graph %d) after %d of %d \
-                    candidates"
-                   cluster.Clustering.cid cluster.Clustering.graph !tried n)
-        end
-      with
-      | result -> result
-      | exception Commit -> Ok arch
-    end
-    else begin
-      let pool = Pool.global () in
-      let best_fallback = ref None in
-      let tried = ref 0 in
-      let window_open () = !tried < opts.eval_window || !best_fallback = None in
-      (* Pure w.r.t. [arch]: every evaluation mutates only its own copy. *)
-      let evaluate_candidate incumbent i =
-        Trace.span ctx.trace
-          ~args:[ ("index", Trace.Num i) ]
-          "alloc.candidate"
-          (fun () ->
+              rollback ck;
+              `Inapplicable
+          | Ok () -> (
+              match judge incumbent arch with
+              | `Feasible -> `Feasible (Some ck)
+              | (`Rejected | `Tardy _) as o ->
+                  rollback ck;
+                  o));
+    |]
+  in
+  let on_copies incumbent base =
+    Pool.map_n ~jobs (Pool.global ())
+      (fun k ->
+        traced (base + k) (fun () ->
             let trial = Arch.copy arch in
-            match Options.apply trial spec clustering cluster candidates.(i) with
+            match Options.apply trial spec clustering cluster candidates.(base + k) with
             | Error _ -> `Inapplicable
             | Ok () -> (
-                match stage1 incumbent trial with
-                | Some (`Unschedulable | `Dominated) -> `Pruned
-                | None -> (
-                    match schedule_trial trial with
-                    | Error _ -> `Unschedulable
-                    | Ok v ->
-                        if v.Schedule.v_met then `Feasible trial
-                        else
-                          `Tardy
-                            (trial, (v.Schedule.v_tardiness, Arch.cost trial)))))
-      in
-      let exception Commit of Arch.t in
-      let consume = function
-        | `Inapplicable -> ()
-        | `Unschedulable | `Pruned -> incr tried
-        | `Feasible trial -> raise (Commit trial)
-        | `Tardy (trial, score) ->
-            (match !best_fallback with
-            | Some (best_score, _) when best_score <= score -> ()
-            | _ -> best_fallback := Some (score, trial));
-            incr tried
-      in
-      match
-        let i = ref 0 in
-        while !i < n && window_open () do
-          ctx.check_budget ();
-          let base = !i in
-          let batch = min jobs (n - base) in
-          let incumbent = Option.map fst !best_fallback in
-          let results =
-            Pool.map_n ~jobs pool
-              (fun k -> evaluate_candidate incumbent (base + k))
-              batch
-          in
-          (* In-order consumption; once the window closes mid-batch the
-             remaining speculative results are discarded, as the sequential
-             search would never have evaluated them. *)
-          Array.iter (fun r -> if window_open () then consume r) results;
-          i := base + batch
-        done;
-        if !i >= n then begin
-          match !best_fallback with
-          | Some (score, trial) ->
-              if debug then
-                Printf.eprintf
-                  "fallback commit: cluster %d (graph %d) tardiness %d after %d evals\n%!"
-                  cluster.Clustering.cid cluster.Clustering.graph (fst score) !tried;
-              Ok trial
-          | None ->
-              Error
-                (Printf.sprintf "no applicable allocation for cluster %d"
-                   cluster.Clustering.cid)
-        end
-        else begin
-          (* Evaluation window exhausted: settle for the least-tardy
-             option seen. *)
-          match !best_fallback with
-          | Some (_, trial) -> Ok trial
-          | None ->
-              (* The window only closes once a fallback exists
-                 ([window_open]), so this branch is unreachable. *)
-              failwith
-                (Printf.sprintf
-                   "allocate_cluster: evaluation window closed with no \
-                    fallback for cluster %d (graph %d) after %d of %d \
-                    candidates"
-                   cluster.Clustering.cid cluster.Clustering.graph !tried n)
-        end
-      with
-      | result -> result
-      | exception Commit trial -> Ok trial
-    end
-  end
+                match judge incumbent trial with
+                | `Feasible -> `Feasible None
+                | (`Rejected | `Tardy _) as o -> o)))
+      (min jobs (n - base))
+  in
+  let produce = if jobs = 1 then in_place else on_copies in
+  let fallback = ref None (* (score, index) of the least-tardy option *)
+  and winner = ref None
+  and tried = ref 0
+  and next = ref 0 in
+  let window_open () = !tried < opts.eval_window || !fallback = None in
+  while Option.is_none !winner && !next < n && window_open () do
+    ctx.check_budget ();
+    let base = !next in
+    let outcomes = produce (Option.map fst !fallback) base in
+    (* Once the window closes or a winner is found mid-batch, the
+       remaining speculative outcomes are discarded: the one-at-a-time
+       search would never have evaluated them. *)
+    Array.iteri
+      (fun k outcome ->
+        if Option.is_none !winner && window_open () then
+          match outcome with
+          | `Inapplicable -> ()
+          | `Rejected -> incr tried
+          | `Feasible applied -> winner := Some (base + k, applied)
+          | `Tardy score ->
+              (match !fallback with
+              | Some (best_score, _) when best_score <= score -> ()
+              | _ -> fallback := Some (score, base + k));
+              incr tried)
+      outcomes;
+    next := base + Array.length outcomes
+  done;
+  let reapply i = Options.apply arch spec clustering cluster candidates.(i) in
+  match (!winner, !fallback) with
+  | Some (_, Some ck), _ ->
+      Arch.commit arch ck;
+      Ok ()
+  | Some (i, None), _ -> reapply i
+  | None, Some ((tardiness, _), i) ->
+      Trace.instant ctx.trace "alloc.fallback"
+        ~args:
+          [
+            ("cluster", Trace.Num cluster.Clustering.cid);
+            ("graph", Trace.Num cluster.Clustering.graph);
+            ("tardiness", Trace.Num tardiness);
+            ("evals", Trace.Num !tried);
+          ];
+      reapply i
+  | None, None ->
+      (* The window only closes once a fallback exists, so every
+         candidate was tried and none applied or scheduled. *)
+      if n = 0 then
+        Error
+          (Printf.sprintf "cluster %d (graph %d) fits no PE type"
+             cluster.Clustering.cid cluster.Clustering.graph)
+      else
+        Error
+          (Printf.sprintf "no applicable allocation for cluster %d"
+             cluster.Clustering.cid)
 
 (* The synthesis flow proper, shared by [synthesize] (fresh architecture)
    and [continue_allocation] (extend a partial result): allocate every
    cluster not yet placed and not skipped, repair residual tardiness,
    run dynamic-reconfiguration generation, synthesize the programming
    interface and assemble the result. *)
-let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0 ~skip =
-  ignore lib;
+let run_flow ~opts ~t0 ~w0 (spec : Spec.t) (clustering : Clustering.t) arch ~skip =
   let ctx = make_ctx opts in
   let traj = opts.portfolio in
   (* Incumbent-bound check: abort iff (floor, index) strictly loses to
@@ -634,21 +520,20 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
         | None -> ())
     | Some { t_bound = None; _ } | None -> ()
   in
-  let arch = ref arch0 in
   (* Admissible floor while repair (and, with reconfiguration on, the
      merge phase) is still ahead.  [rip_budget] is how many rip-up
      attempts remain: 20 during allocation, fewer once repair runs. *)
   let pre_merge_floor ?rip_budget () =
     if opts.dynamic_reconfiguration then
-      floor_nonprog !arch -. repair_headroom ?rip_budget ~all:false !arch
-    else floor_all !arch -. repair_headroom ?rip_budget ~all:true !arch
+      floor_nonprog arch -. repair_headroom ?rip_budget ~all:false arch
+    else floor_all arch -. repair_headroom ?rip_budget ~all:true arch
   in
   let total = Array.length clustering.Clustering.clusters in
   let allocated = Array.make total false in
   let remaining = ref 0 in
   Array.iter
     (fun (c : Clustering.cluster) ->
-      if skip c || Arch.site_of_cluster !arch c.cid <> None then
+      if skip c || Arch.site_of_cluster arch c.cid <> None then
         allocated.(c.cid) <- true
       else incr remaining)
     clustering.Clustering.clusters;
@@ -659,7 +544,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
   let pop_jitter =
     match ctx.perturb with
     | Some rng when total > 1 ->
-        let levels = Schedule.priorities spec clustering !arch in
+        let levels = Schedule.priorities spec clustering arch in
         let lo = ref max_int and hi = ref min_int in
         Array.iter
           (fun (c : Clustering.cluster) ->
@@ -674,7 +559,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
   let rec allocate_all remaining =
     if remaining = 0 then Ok ()
     else begin
-      let levels = Schedule.priorities spec clustering !arch in
+      let levels = Schedule.priorities spec clustering arch in
       let next = ref (-1) and next_level = ref min_int in
       Array.iter
         (fun (c : Clustering.cluster) ->
@@ -698,18 +583,16 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
               ("graph", Trace.Num cluster.Clustering.graph);
             ]
           "alloc.cluster"
-          (fun () -> allocate_cluster ~opts ~ctx spec clustering !arch cluster)
+          (fun () -> allocate_cluster ~opts ~ctx spec clustering arch cluster)
       with
       | Error _ as e -> e
-      | Ok trial ->
-          arch := trial;
+      | Ok () ->
           (* Refresh the incremental engine's recording on the committed
              architecture: the next cluster's trials then diff against a
              basis that differs only by their own placement, maximizing
              the replayable prefix.  One record-only run per cluster
              against dozens of trials served by replay. *)
-          if opts.incremental then
-            Memo.refresh ctx.memo ~copy_cap:opts.copy_cap spec clustering !arch;
+          Evaluator.refresh ctx.eval ~copy_cap:opts.copy_cap spec clustering arch;
           allocated.(cluster.cid) <- true;
           ctx.check_budget ();
           (* During allocation, repair (<= 20 vacating rip-ups) and the
@@ -721,7 +604,10 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
   (* Repair: when the constructive pass ends tardy (a fallback commit
      cascaded), rip up the cluster carrying the worst tardiness and
      re-allocate it against the now-complete architecture; the evaluation
-     loop will find it a feasible (possibly fresh) site. *)
+     loop will find it a feasible (possibly fresh) site.  Each attempt is
+     a journaled trial on [arch], kept only when it lowers the tardiness.
+     Returns the schedule of the post-repair architecture, which the
+     merge phase starts from. *)
   let repair () =
     let blacklist = Hashtbl.create 8 in
     (* Tardy clusters, worst first, not yet tried. *)
@@ -741,10 +627,10 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
             note cid late;
             (* The blockers sharing the tardy cluster's PE are candidates
                too: moving one of them can free the needed slot. *)
-            match Arch.site_of_cluster !arch cid with
+            match Arch.site_of_cluster arch cid with
             | None -> ()
             | Some site ->
-                let pe = Vec.get !arch.Arch.pes site.Arch.s_pe in
+                let pe = Vec.get arch.Arch.pes site.Arch.s_pe in
                 Vec.iter
                   (fun (m : Arch.mode) ->
                     List.iter (fun other -> if other <> cid then note other (late / 2))
@@ -756,29 +642,28 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
       |> List.sort (fun a b -> compare (fst b) (fst a))
       |> List.map snd
     in
-    (* Does [trial] strictly beat the current schedule?  Stage 1 first:
-       acceptance needs strictly lower tardiness, so a bound already at
-       or above the incumbent tardiness — or a disconnection, which is
-       exactly [run]'s failure — rejects without a full schedule. *)
-    let improves (sched : Schedule.t) trial =
-      let verdict =
-        if not opts.prune then None
-        else begin
-          match Memo.estimate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial with
-          | Error _ -> Some false
-          | Ok lb -> if lb >= sched.Schedule.total_tardiness then Some false else None
-        end
-      in
-      match verdict with
-      | Some v ->
-          Memo.note_prune ctx.memo;
-          v
-      | None -> (
-          match
-            Memo.evaluate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial
-          with
-          | Ok after -> after.Schedule.v_tardiness < sched.Schedule.total_tardiness
-          | Error _ -> false)
+    (* Does the re-allocated [arch] strictly beat [sched]?  Acceptance
+       needs strictly lower tardiness, so stage 1 rejects a bound already
+       at or above the incumbent tardiness without a full schedule. *)
+    let improves (sched : Schedule.t) =
+      (not
+         (Evaluator.prune ctx.eval ~copy_cap:opts.copy_cap spec clustering arch
+            (fun lb -> lb >= sched.Schedule.total_tardiness)))
+      &&
+      match Evaluator.evaluate ctx.eval ~copy_cap:opts.copy_cap spec clustering arch with
+      | Ok after -> after.Schedule.v_tardiness < sched.Schedule.total_tardiness
+      | Error _ -> false
+    in
+    (* The schedule of [arch] as it stands; a rolled-back attempt leaves
+       [arch] bit for bit as it was, so its schedule is kept. *)
+    let known = ref None in
+    let current_schedule () =
+      match !known with
+      | Some result -> result
+      | None ->
+          let result = Evaluator.run ctx.eval ~copy_cap:opts.copy_cap spec clustering arch in
+          known := Some result;
+          result
     in
     let rec attempt k =
       if k > 0 then begin
@@ -786,7 +671,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
         (* Each attempt is a full rip-up/re-allocate cycle; at most [k]
            remain, so the headroom discount shrinks as repair proceeds. *)
         check_bound (fun () -> pre_merge_floor ~rip_budget:k ());
-        match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering !arch with
+        match current_schedule () with
         | Error _ -> ()
         | Ok sched ->
             if not sched.Schedule.deadlines_met then begin
@@ -799,42 +684,27 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
                     ~args:[ ("cluster", Trace.Num cid) ]
                     "repair.attempt"
                     (fun () ->
-                      if opts.jobs <= 1 then begin
-                        (* Sequential path: rip-up and retry under the undo
-                           journal instead of a deep safety copy. *)
-                        let ck = Arch.checkpoint !arch in
-                        Arch.unplace_cluster !arch clustering cluster;
-                        match allocate_cluster ~opts ~ctx spec clustering !arch cluster with
-                        | Ok trial ->
-                            (* [trial == !arch]: the sequential allocator
-                               commits into the base it was handed. *)
-                            if improves sched trial then Arch.commit !arch ck
-                            else begin
-                              Trace.Counter.incr ctx.rollback_counter;
-                              Arch.rollback !arch ck
-                            end
-                        | Error _ ->
-                            Trace.Counter.incr ctx.rollback_counter;
-                            Arch.rollback !arch ck
-                      end
-                      else begin
-                        let saved = Arch.copy !arch in
-                        Arch.unplace_cluster !arch clustering cluster;
-                        match allocate_cluster ~opts ~ctx spec clustering !arch cluster with
-                        | Ok trial -> if improves sched trial then arch := trial else arch := saved
-                        | Error _ -> arch := saved
-                      end);
+                      let ck = Arch.checkpoint arch in
+                      Arch.unplace_cluster arch clustering cluster;
+                      match allocate_cluster ~opts ~ctx spec clustering arch cluster with
+                      | Ok () when improves sched ->
+                          Arch.commit arch ck;
+                          known := None
+                      | Ok () | Error _ ->
+                          Trace.Counter.incr ctx.rollback_counter;
+                          Arch.rollback arch ck);
                   attempt (k - 1)
             end
       end
     in
-    attempt 20
+    attempt 20;
+    current_schedule ()
   in
   match Trace.span ctx.trace "allocation" (fun () -> allocate_all !remaining) with
   | Error msg -> Error msg
   | Ok () -> (
       sample_eval_counters ctx;
-      Trace.span ctx.trace "repair" repair;
+      let repaired = Trace.span ctx.trace "repair" repair in
       sample_eval_counters ctx;
       ctx.check_budget ();
       (* Post-repair, a positive tardiness lower bound is terminal: the
@@ -846,8 +716,8 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
           match Atomic.get b.b_best with
           | Some (bc, bi) -> (
               match
-                Memo.estimate ctx.memo ~copy_cap:opts.copy_cap spec clustering
-                  !arch
+                Evaluator.estimate ctx.eval ~copy_cap:opts.copy_cap spec
+                  clustering arch
               with
               | Ok lb when lb > 0 ->
                   raise
@@ -863,8 +733,8 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
       | Some { t_bound = None; _ } | None -> ());
       check_bound (fun () ->
           if opts.dynamic_reconfiguration then
-            floor_nonprog !arch +. floor_min_ppe !arch
-          else floor_all !arch);
+            floor_nonprog arch +. floor_min_ppe arch
+          else floor_all arch);
       (* Dynamic-reconfiguration generation. *)
       let fit_scale =
         match traj with Some t -> t.t_fit_scale | None -> (1.0, 1.0)
@@ -873,33 +743,26 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
         ctx.check_budget ();
         check_bound (fun () -> floor_nonprog a +. floor_min_ppe a)
       in
-      let merged =
-        if opts.dynamic_reconfiguration then begin
-          let replays0 = Memo.replays ctx.memo
-          and rebuilds0 = Memo.rebuilds ctx.memo in
-          let outcome =
-            Trace.span ctx.trace "merge" (fun () ->
-                Merge.optimize ~copy_cap:opts.copy_cap
-                  ~max_trials_per_pass:opts.merge_trials_per_pass ~jobs:opts.jobs
-                  ~prune:opts.prune ~incremental_merge:opts.incremental_merge
-                  ~fit_scale ~on_pass ?trace:ctx.trace
-                  ~memo:ctx.memo spec clustering !arch)
-          in
-          ctx.merge_replays <- Memo.replays ctx.memo - replays0;
-          ctx.merge_rebuilds <- Memo.rebuilds ctx.memo - rebuilds0;
-          match outcome with
-          | Ok (better, sched, stats) -> Ok (better, sched, Some stats)
-          | Error msg -> Error msg
-        end
-        else begin
-          match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering !arch with
-          | Ok sched -> Ok (!arch, sched, None)
-          | Error msg -> Error msg
-        end
-      in
-      match merged with
+      match repaired with
       | Error msg -> Error msg
-      | Ok (final_arch, sched, merge_stats) ->
+      | Ok sched ->
+          let final_arch, sched, merge_stats =
+            if opts.dynamic_reconfiguration then begin
+              let replays0 = Evaluator.replays ctx.eval
+              and rebuilds0 = Evaluator.rebuilds ctx.eval in
+              let better, sched, stats =
+                Trace.span ctx.trace "merge" (fun () ->
+                    Merge.optimize ~copy_cap:opts.copy_cap
+                      ~max_trials_per_pass:opts.merge_trials_per_pass
+                      ~jobs:opts.jobs ~fit_scale ~on_pass ?trace:ctx.trace
+                      ~evaluator:ctx.eval spec clustering arch sched)
+              in
+              ctx.merge_replays <- Evaluator.replays ctx.eval - replays0;
+              ctx.merge_rebuilds <- Evaluator.rebuilds ctx.eval - rebuilds0;
+              (better, sched, Some stats)
+            end
+            else (arch, sched, None)
+          in
           sample_eval_counters ctx;
           ctx.check_budget ();
           check_bound (fun () -> floor_all final_arch);
@@ -908,7 +771,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
              breaking deadlines. *)
           let sched = ref sched in
           let validate a =
-            match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering a with
+            match Evaluator.run ctx.eval ~copy_cap:opts.copy_cap spec clustering a with
             | Ok s when s.Schedule.deadlines_met || not !sched.Schedule.deadlines_met ->
                 sched := s;
                 true
@@ -974,7 +837,7 @@ let synthesize ?(options = default_options) ?(include_graph = fun _ -> true)
                   Clustering.run ~max_cluster_size:opts.max_cluster_size spec lib
                 else Clustering.singletons spec lib)
           in
-          run_flow ~opts ~t0 ~w0 spec lib clustering (Arch.create lib)
+          run_flow ~opts ~t0 ~w0 spec clustering (Arch.create lib)
             ~skip:(fun (c : Clustering.cluster) -> not (include_graph c.graph)))
 
 let continue_allocation ?(options = default_options) (base : result) =
@@ -988,8 +851,7 @@ let continue_allocation ?(options = default_options) (base : result) =
       (* The interface chosen for the partial architecture is re-synthesized
          at the end of the extended flow. *)
       arch.Arch.interface_cost <- None;
-      run_flow ~opts:options ~t0 ~w0 base.spec base.arch.Arch.lib base.clustering
-        arch
+      run_flow ~opts:options ~t0 ~w0 base.spec base.clustering arch
         ~skip:(fun _ -> false))
 
 (* ---------------- Anytime portfolio search ---------------- *)
@@ -1782,8 +1644,7 @@ module Resynth = struct
                 ~args:[ ("new_pes", Trace.Str (string_of_bool allow_new_pes)) ]
                 "resynth.attempt"
                 (fun () ->
-                  run_flow ~opts ~t0 ~w0 spec' deployed.arch.Arch.lib
-                    clustering arch0 ~skip)
+                  run_flow ~opts ~t0 ~w0 spec' clustering arch0 ~skip)
             in
             let outcome = function
               | Ok (r : result) ->

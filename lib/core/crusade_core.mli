@@ -44,34 +44,16 @@ type options = {
           [jobs = 1] — the lowest-indexed candidate the sequential search
           would commit always wins.  Defaults to the [CRUSADE_JOBS]
           environment variable (clamped to the machine), else 1. *)
-  prune : bool;
-      (** stage-1 candidate evaluation (default true): consult the
-          admissible tardiness lower bound
-          {!Crusade_sched.Schedule.estimate} before scheduling a
-          candidate, and skip the full schedule when the bound already
-          proves the candidate infeasible and no better than the
-          incumbent.  Synthesis results are bit-identical with pruning
-          on or off. *)
-  memo : bool;
-      (** stage-2 candidate evaluation (default true): serve repeated
-          schedules of structurally identical architectures from the
-          run's bounded {!Crusade_sched.Memo} table. *)
   incremental : bool;
-      (** incremental rescheduling (default true): evaluate trial
-          candidates by replaying the provably unchanged prefix of the
-          last full scheduler run ({!Crusade_sched.Incremental}) instead
-          of rebuilding every timeline from scratch.  Synthesis results
-          are bit-identical with it on or off; [--no-incremental] in the
-          CLI and benchmark drivers maps here. *)
-  incremental_merge : bool;
-      (** incremental merge phase (default true): sequential
-          ([jobs = 1]) merge trials mutate the live architecture under
-          the {!Crusade_alloc.Arch.checkpoint} journal and roll back on
-          rejection instead of deep-copying it per trial, so each trial
-          is a delta evaluated against a warm per-pass replay basis.
-          Results — accepted merges, schedules, merge stats — are
-          bit-identical with it on or off; [--no-incremental-merge] in
-          the CLI and benchmark drivers maps here. *)
+      (** the one evaluator switch (default true): evaluate candidates
+          through {!Crusade_sched.Evaluator}'s two stages — the
+          admissible tardiness bound {!Crusade_sched.Schedule.estimate},
+          then a replay of the provably unchanged prefix of the last full
+          scheduler run ({!Crusade_sched.Incremental}).  Off selects the
+          reference evaluator: every evaluation is a full
+          [Schedule.run].  Synthesis results are bit-identical either
+          way; [--no-incremental] in the CLI and the bench harness maps
+          here. *)
   trace : Crusade_util.Trace.t option;
       (** when set, every synthesis phase (pre-processing, clustering,
           allocation per cluster and per candidate, repair, merge
@@ -107,12 +89,13 @@ val default_options : options
 type eval_stats = {
   pruned : int;
       (** candidates rejected by the stage-1 bound without a schedule *)
-  memo_hits : int;  (** schedules served from the memo table *)
-  memo_misses : int;  (** schedules actually computed *)
+  memo_hits : int;
+  memo_misses : int;
   memo_bypassed : int;
-      (** verdict-only evaluations that skipped the memo table because
-          the incremental engine answered instead; explains the frozen
-          [memo_hits] whenever [options.incremental] is on *)
+      (** always 0.  The stage-2 schedule memo table these counted is
+          gone; the fields stay so that readers of the counters (the
+          benchmark harness, BENCH.json consumers) keep compiling and
+          read an honest zero. *)
   rollbacks : int;  (** journaled trial mutations undone in place *)
   replays : int;
       (** candidate evaluations served by incremental prefix replay *)
@@ -144,7 +127,7 @@ type eval_stats = {
       (** times a completed feasible result improved the shared bound *)
 }
 (** Two-stage-evaluator counters of one synthesis flow.  Each flow owns
-    its counters (and its memo table), so back-to-back or concurrent
+    its counters, so back-to-back or concurrent
     syntheses in one process report fully independent, exact statistics.
     The [traj_*]/[bound_aborts]/[incumbent_updates] fields are zero for
     plain flows; {!Portfolio.annotate} folds a portfolio run's counters

@@ -129,25 +129,31 @@ let synthesize arch (spec : Spec.t) ~validate =
       all_options
   in
   let sorted = List.sort compare candidates in
-  let saved_boots =
+  let boots () =
     Vec.fold (fun acc (pe : Arch.pe_inst) -> (pe.Arch.p_id, pe.Arch.boot_full_us) :: acc)
       [] arch.Arch.pes
   in
+  let saved_boots = boots () in
   let restore () =
     List.iter
       (fun (p_id, boot) -> (Vec.get arch.Arch.pes p_id).Arch.boot_full_us <- boot)
       saved_boots
   in
-  let rec try_options = function
+  let rec try_options rejected = function
     | [] ->
         restore ();
         Error "no programming interface meets the boot-time requirement"
     | (cost, option) :: rest ->
         apply option arch;
-        if boot_requirement_met arch spec.boot_time_requirement && validate arch then begin
+        let boots = boots () in
+        if List.mem boots rejected then try_options rejected rest
+        else if
+          boot_requirement_met arch spec.boot_time_requirement
+          && (boots = saved_boots || validate arch)
+        then begin
           arch.Arch.interface_cost <- Some cost;
           Ok option
         end
-        else try_options rest
+        else try_options (boots :: rejected) rest
   in
-  try_options sorted
+  try_options [] sorted

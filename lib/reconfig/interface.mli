@@ -43,4 +43,12 @@ val synthesize :
     [spec.boot_time_requirement] and for which [validate] (typically a
     re-schedule checking deadlines) accepts the updated architecture.
     On success the architecture's per-PPE [boot_full_us] and
-    [interface_cost] are updated. *)
+    [interface_cost] are updated.
+
+    [validate] is called only when its answer is not already known: an
+    option that leaves every [boot_full_us] as it was on entry is
+    accepted without it, and an option whose boot times equal those of
+    an option already rejected is skipped.  Both rules are exact when
+    [validate] accepts the architecture as it was on entry and has no
+    side effect when it rejects — as a re-schedule that keeps the
+    current schedule unless the new one is no worse does. *)

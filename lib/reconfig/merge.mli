@@ -24,41 +24,35 @@ val optimize :
   ?copy_cap:int ->
   ?max_trials_per_pass:int ->
   ?jobs:int ->
-  ?prune:bool ->
-  ?incremental_merge:bool ->
   ?fit_scale:float * float ->
   ?on_pass:(Crusade_alloc.Arch.t -> unit) ->
   ?trace:Crusade_util.Trace.t ->
-  memo:Crusade_sched.Memo.t ->
+  evaluator:Crusade_sched.Evaluator.t ->
   Crusade_taskgraph.Spec.t ->
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
-  (Crusade_alloc.Arch.t * Crusade_sched.Schedule.t * stats, string) result
-(** Returns the improved architecture with its final schedule.  The input
-    architecture is never mutated: sequential trials work on one private
-    copy under the {!Crusade_alloc.Arch.checkpoint} journal, parallel
-    trials on per-trial copies.
+  Crusade_sched.Schedule.t ->
+  Crusade_alloc.Arch.t * Crusade_sched.Schedule.t * stats
+(** [optimize ~evaluator spec clustering arch schedule] returns the
+    improved architecture with its final schedule; [schedule] must be
+    the schedule of [arch].  The input architecture is never mutated:
+    the trials run on one private copy, the live architecture.
 
-    [jobs] (default 1) evaluates the merge trials of a pass in
-    index-ordered batches on the {!Crusade_util.Pool} domain pool,
-    accepting in deterministic trial order: results — including the
-    [stats] counters — are bit-identical to the sequential loop.
+    [jobs] (default 1) chooses the merge-trial producer.  At 1, each
+    trial mutates the live architecture under a
+    {!Crusade_alloc.Arch.checkpoint} and is rolled back unless accepted.
+    Above 1, the trials of a pass are evaluated in index-ordered batches
+    on per-trial copies on the {!Crusade_util.Pool} domain pool, and an
+    accepted trial is re-applied to the live architecture.  Either way
+    the trials are consumed in trial order by one loop, so results —
+    including the [stats] counters — are the same at every [jobs].  Mode
+    combines are always journaled trials on the live architecture.
 
-    [incremental_merge] (default true) makes sequential ([jobs = 1])
-    trials mutate the live architecture under a journal checkpoint and
-    roll back on rejection, instead of deep-copying the architecture per
-    trial; with the incremental engine attached, each trial is then a
-    prefix replay against a warm per-pass basis.  Accepted shapes, the
-    final schedule and every [stats] counter are bit-identical with the
-    flag off (the [--no-incremental-merge] escape hatch).
-
-    [prune] (default true) rejects trials whose exact cost or tardiness
-    bound already rules out acceptance, without scheduling them.  [memo]
-    is the calling run's {!Crusade_sched.Memo} table — repeated
-    schedules are served from it (create it with [~enabled:false] to
-    switch stage 2 off).  Both leave the accepted architectures and the
-    [stats] counters bit-identical.  [trace] adds ["merge.trial"] /
-    ["merge.combine"] spans and a ["merge.pass"] instant per pass.
+    [evaluator] is the calling run's {!Crusade_sched.Evaluator}: its
+    stage 1 rejects trials whose exact cost or tardiness bound already
+    rules out acceptance, and its engine replays trial schedules against
+    a warm basis.  [trace] adds ["merge.trial"] / ["merge.combine"] spans
+    and a ["merge.pass"] instant per pass.
 
     [fit_scale] (default [(1.0, 1.0)]) scales the usable PFU/pin caps
     used by the fit checks; portfolio trajectories perturb it

@@ -150,7 +150,7 @@ let refresh t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
    run skips materialization, activity tracking and recording overhead.
    Freshness of the basis only affects the prefix length; the synthesis
    loops refresh it with a full [record] run at each commit point (every
-   materializing [Memo.run] goes through [record]). *)
+   materializing [Evaluator.run] goes through [record]). *)
 let evaluate t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
     (clustering : Clustering.t) (arch : Arch.t) =
   match lookup t ~copy_cap spec clustering with

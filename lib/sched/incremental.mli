@@ -14,7 +14,7 @@
     downstream, and cuts the prefix before the first pop any marked
     instance could influence).
 
-    One engine is scoped to a synthesis trajectory, like {!Memo}; the
+    One engine is scoped to a synthesis trajectory, like {!Evaluator}; the
     recording slots form a small MRU list keyed by (spec, clustering,
     copy_cap) identity, so revisiting a clustering seen earlier (a
     portfolio trajectory restart, a rescheduling round) replays against

@@ -1,7 +1,8 @@
 (* The two-stage candidate evaluator: stage-1 admissibility of
-   [Schedule.estimate], stage-2 memoization, the architecture undo
-   journal, and end-to-end determinism of synthesis with the evaluator
-   on versus off. *)
+   [Schedule.estimate], the architecture undo journal, and end-to-end
+   determinism of synthesis against the reference evaluator (a full
+   [Schedule.run] per evaluation) and across the allocation and merge
+   producers (jobs 1 vs 2). *)
 
 module C = Crusade.Crusade_core
 module Spec = Crusade_taskgraph.Spec
@@ -11,7 +12,6 @@ module Arch = Crusade_alloc.Arch
 module Options = Crusade_alloc.Options
 module Export = Crusade_alloc.Export
 module Schedule = Crusade_sched.Schedule
-module Memo = Crusade_sched.Memo
 module Vec = Crusade_util.Vec
 module W = Crusade_workloads.Comm_system
 module Examples = Crusade_workloads.Examples
@@ -242,30 +242,34 @@ let result_signature (r : C.result) =
     arch_signature r.C.clustering r.C.arch,
     sched )
 
-let synthesize_with ~prune ~memo ?(jobs = 1) spec lib =
-  let options = { C.default_options with prune; memo; jobs } in
+let synthesize_with ?(incremental = true) ?(jobs = 1)
+    ?(eval_window = C.default_options.C.eval_window) ?trace spec lib =
+  let options =
+    { C.default_options with incremental; jobs; eval_window; trace }
+  in
   match C.synthesize ~options spec lib with
   | Ok r -> r
   | Error msg -> Alcotest.failf "synthesis failed: %s" msg
 
-let determinism_on_spec name spec lib =
-  let baseline = synthesize_with ~prune:false ~memo:false spec lib in
-  let full = synthesize_with ~prune:true ~memo:true spec lib in
-  let prune_only = synthesize_with ~prune:true ~memo:false spec lib in
-  let sig_base = result_signature baseline in
-  check Alcotest.bool
-    (name ^ ": evaluator on = evaluator off")
-    true
-    (result_signature full = sig_base);
-  check Alcotest.bool
-    (name ^ ": prune-only = evaluator off")
-    true
-    (result_signature prune_only = sig_base);
-  check Alcotest.bool
-    (name ^ ": parallel pruned = sequential unpruned")
-    true
-    (result_signature (synthesize_with ~prune:true ~memo:true ~jobs:2 spec lib)
-    = sig_base)
+(* The default evaluator at jobs 1 and 2, and the reference evaluator at
+   jobs 2, all reproduce the reference evaluator at jobs 1. *)
+let determinism_on_spec ?eval_window name spec lib =
+  let sig_ref =
+    result_signature (synthesize_with ~incremental:false ?eval_window spec lib)
+  in
+  List.iter
+    (fun (what, incremental, jobs) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: %s = reference" name what)
+        true
+        (result_signature
+           (synthesize_with ~incremental ~jobs ?eval_window spec lib)
+        = sig_ref))
+    [
+      ("default, jobs 1", true, 1);
+      ("default, jobs 2", true, 2);
+      ("reference, jobs 2", false, 2);
+    ]
 
 let determinism_figure2 () =
   determinism_on_spec "figure2" (Examples.figure2 Helpers.small_lib) Helpers.small_lib
@@ -282,40 +286,25 @@ let determinism_generated () =
         spec Helpers.stock_lib)
     [ 11; 42 ]
 
-(* Stage 2 actually fires: a synthesis with the evaluator on reports
-   memo traffic, and repeated identical schedules come back hits. *)
-let memo_hits_observed () =
-  let spec = Examples.figure2 Helpers.small_lib in
-  let r = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
-  check Alcotest.bool "memo was consulted" true
-    (r.C.eval_stats.C.memo_hits + r.C.eval_stats.C.memo_misses > 0);
-  let memo = Memo.create () in
-  (match
-     ( Memo.run memo spec r.C.clustering r.C.arch,
-       Memo.run memo spec r.C.clustering r.C.arch )
-   with
-  | Ok a, Ok b ->
-      check Alcotest.int "identical schedule served" a.Schedule.total_tardiness
-        b.Schedule.total_tardiness
-  | _ -> Alcotest.fail "final architecture must schedule");
-  check Alcotest.int "first consult missed" 1 (Memo.misses memo);
-  check Alcotest.int "repeat consult hit" 1 (Memo.hits memo);
-  (* [clear] empties the table but keeps the counters. *)
-  Memo.clear memo;
-  (match Memo.run memo spec r.C.clustering r.C.arch with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  check Alcotest.int "cleared table misses again" 2 (Memo.misses memo);
-  check Alcotest.int "counters survive clear" 1 (Memo.hits memo)
+(* A window of 2 closes the allocation search early, so clusters commit
+   their least-tardy fallback: both producers re-apply the fallback
+   candidate on the caller's architecture and must agree. *)
+let determinism_small_window () =
+  let module Trace = Crusade_util.Trace in
+  let spec = W.generate Helpers.stock_lib (W.scaled (W.preset "HRXC") 24.0) in
+  let trace = Trace.create () in
+  ignore (synthesize_with ~eval_window:2 ~trace spec Helpers.stock_lib);
+  check Alcotest.bool "a fallback was committed" true
+    (Helpers.contains (Trace.to_json trace) "\"alloc.fallback\"");
+  determinism_on_spec ~eval_window:2 "window 2" spec Helpers.stock_lib
 
-(* The per-run scoping contract: every synthesis owns its memo table and
+(* The per-run scoping contract: every synthesis owns its evaluator
    counters, so identical back-to-back runs report identical, exact
-   statistics — with the old process-global table the second run's
-   numbers were polluted by leftover entries from the first. *)
+   statistics instead of accumulating across runs. *)
 let eval_stats_per_run () =
   let spec = Examples.figure4 Helpers.small_lib in
   let stats_of () =
-    let r = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
+    let r = synthesize_with spec Helpers.small_lib in
     (result_signature r, r.C.eval_stats)
   in
   let sig1, s1 = stats_of () in
@@ -323,14 +312,7 @@ let eval_stats_per_run () =
   check Alcotest.bool "identical runs synthesize identically" true (sig1 = sig2);
   check Alcotest.bool "identical runs report identical eval stats" true (s1 = s2);
   check Alcotest.bool "counters did not accumulate across runs" true
-    (s2.C.memo_misses > 0 && s2.C.memo_misses = s1.C.memo_misses);
-  (* A fresh table can never serve a hit built by another run. *)
-  let r = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
-  let fresh = Memo.create () in
-  (match Memo.run fresh spec r.C.clustering r.C.arch with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  check Alcotest.int "no cross-run hit on a fresh table" 0 (Memo.hits fresh)
+    (s2.C.rebuilds > 0 && s2.C.rebuilds = s1.C.rebuilds)
 
 (* Tracing covers every phase of the flow and never perturbs the
    synthesis result. *)
@@ -342,7 +324,7 @@ let trace_covers_phases () =
   match C.synthesize ~options spec Helpers.small_lib with
   | Error msg -> Alcotest.failf "traced synthesis failed: %s" msg
   | Ok r ->
-      let plain = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
+      let plain = synthesize_with spec Helpers.small_lib in
       check Alcotest.bool "tracing does not perturb synthesis" true
         (result_signature r = result_signature plain);
       let json = Trace.to_json trace in
@@ -381,7 +363,8 @@ let suite =
     Alcotest.test_case "determinism: figure2" `Quick determinism_figure2;
     Alcotest.test_case "determinism: figure4" `Quick determinism_figure4;
     Alcotest.test_case "determinism: generated workloads" `Slow determinism_generated;
-    Alcotest.test_case "memoization observable" `Quick memo_hits_observed;
+    Alcotest.test_case "determinism: small evaluation window" `Quick
+      determinism_small_window;
     Alcotest.test_case "eval stats scoped per run" `Quick eval_stats_per_run;
     Alcotest.test_case "trace covers every phase" `Quick trace_covers_phases;
   ]

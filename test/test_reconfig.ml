@@ -7,7 +7,7 @@ module Schedule = Crusade_sched.Schedule
 module Compat = Crusade_reconfig.Compat
 module Interface = Crusade_reconfig.Interface
 module Merge = Crusade_reconfig.Merge
-module Memo = Crusade_sched.Memo
+module Evaluator = Crusade_sched.Evaluator
 module Vec = Crusade_util.Vec
 
 let check = Alcotest.check
@@ -121,6 +121,30 @@ let interface_synthesize_meets_requirement () =
         arch.Arch.pes;
       ignore option
 
+(* Interface synthesis asks [validate] only when the answer is not
+   already known: never at the entry boot times (the current schedule
+   stands), never twice about one boot vector. *)
+let interface_skips_known_answers () =
+  let spec, _, arch = two_device_arch () in
+  let boots (a : Arch.t) =
+    Vec.fold (fun acc (pe : Arch.pe_inst) -> pe.Arch.boot_full_us :: acc) [] a.Arch.pes
+  in
+  let entry = boots arch in
+  let asked = ref [] in
+  let validate a =
+    let b = boots a in
+    check Alcotest.bool "not asked at the entry boot times" false (b = entry);
+    check Alcotest.bool "not asked twice about one boot vector" false
+      (List.mem b !asked);
+    asked := b :: !asked;
+    false
+  in
+  match Interface.synthesize arch spec ~validate with
+  | Ok _ -> check Alcotest.bool "accepted at the entry boot times" true (boots arch = entry)
+  | Error _ ->
+      check Alcotest.bool "boot times restored" true (boots arch = entry);
+      check Alcotest.bool "validate was asked" true (!asked <> [])
+
 let interface_synthesize_prefers_cheap () =
   let spec, clustering, arch = two_device_arch () in
   ignore clustering;
@@ -133,63 +157,57 @@ let interface_synthesize_prefers_cheap () =
 
 (* --- Merge --- *)
 
+let optimize ?jobs spec clustering arch =
+  match Schedule.run spec clustering arch with
+  | Error m -> Alcotest.fail m
+  | Ok sched ->
+      Merge.optimize ?jobs ~evaluator:(Evaluator.create ()) spec clustering arch
+        sched
+
 let merge_two_compatible_devices () =
   let spec, clustering, arch = two_device_arch ~overlap:false () in
   check Alcotest.int "two devices before" 2 (Arch.n_pes arch);
-  match Merge.optimize ~memo:(Memo.create ()) spec clustering arch with
-  | Error m -> Alcotest.fail m
-  | Ok (merged, sched, stats) ->
-      check Alcotest.int "one device after" 1 (Arch.n_pes merged);
-      check Alcotest.bool "deadlines met" true sched.Schedule.deadlines_met;
-      check Alcotest.bool "a merge accepted" true (stats.Merge.merges_accepted >= 1);
-      check Alcotest.bool "cost decreased" true (Arch.cost merged < Arch.cost arch);
-      (* the surviving device carries two configuration images *)
-      let images =
-        Vec.fold (fun acc pe -> max acc (Arch.n_images pe)) 0 merged.Arch.pes
-      in
-      check Alcotest.int "two images" 2 images
+  let merged, sched, stats = optimize spec clustering arch in
+  check Alcotest.int "one device after" 1 (Arch.n_pes merged);
+  check Alcotest.bool "deadlines met" true sched.Schedule.deadlines_met;
+  check Alcotest.bool "a merge accepted" true (stats.Merge.merges_accepted >= 1);
+  check Alcotest.bool "cost decreased" true (Arch.cost merged < Arch.cost arch);
+  (* the surviving device carries two configuration images *)
+  let images =
+    Vec.fold (fun acc pe -> max acc (Arch.n_images pe)) 0 merged.Arch.pes
+  in
+  check Alcotest.int "two images" 2 images
 
 let merge_rejects_overlapping () =
   let spec, clustering, arch = two_device_arch ~overlap:true () in
-  match Merge.optimize ~memo:(Memo.create ()) spec clustering arch with
-  | Error m -> Alcotest.fail m
-  | Ok (merged, _, _) ->
-      check Alcotest.int "no merge possible" 2 (Arch.n_pes merged)
+  let merged, _, _ = optimize spec clustering arch in
+  check Alcotest.int "no merge possible" 2 (Arch.n_pes merged)
 
 let merge_potential_counts () =
   let _, _, arch = two_device_arch () in
   check Alcotest.int "2 PPEs + 0 links" 2 (Merge.merge_potential arch)
 
-(* The in-place journaled merge loop (incremental_merge, the default at
-   jobs = 1) must reproduce the batch per-trial-copy loop bit for bit:
-   same accepted architecture, same schedule, same stats counters. *)
+(* The incremental producer (jobs = 1: in-place journaled trials,
+   schedules replayed against a warm basis) must reproduce the batch
+   producer (jobs = 2: pooled per-trial copies) bit for bit: same
+   accepted architecture, same schedule, same stats counters. *)
 let merge_incremental_matches_batch () =
   let spec, clustering, arch = two_device_arch ~overlap:false () in
-  let run incremental_merge =
-    match
-      Merge.optimize ~incremental_merge ~memo:(Memo.create ()) spec clustering
-        arch
-    with
-    | Ok out -> out
-    | Error m -> Alcotest.fail m
-  in
-  let m_inc, s_inc, st_inc = run true in
-  let m_bat, s_bat, st_bat = run false in
-  check (Alcotest.float 1e-9) "cost identical" (Arch.cost m_bat)
-    (Arch.cost m_inc);
-  check Alcotest.int "PEs identical" (Arch.n_pes m_bat) (Arch.n_pes m_inc);
+  let m_seq, s_seq, st_seq = optimize ~jobs:1 spec clustering arch in
+  let m_par, s_par, st_par = optimize ~jobs:2 spec clustering arch in
+  check (Alcotest.float 1e-9) "cost identical" (Arch.cost m_seq)
+    (Arch.cost m_par);
+  check Alcotest.int "PEs identical" (Arch.n_pes m_seq) (Arch.n_pes m_par);
   check Alcotest.bool "schedules identical" true
-    (s_bat.Schedule.instances = s_inc.Schedule.instances
-    && s_bat.Schedule.deadlines_met = s_inc.Schedule.deadlines_met
-    && s_bat.Schedule.total_tardiness = s_inc.Schedule.total_tardiness);
-  check Alcotest.bool "stats identical" true (st_bat = st_inc)
+    (s_seq.Schedule.instances = s_par.Schedule.instances
+    && s_seq.Schedule.deadlines_met = s_par.Schedule.deadlines_met
+    && s_seq.Schedule.total_tardiness = s_par.Schedule.total_tardiness);
+  check Alcotest.bool "stats identical" true (st_seq = st_par)
 
 let merge_input_not_mutated () =
   let spec, clustering, arch = two_device_arch ~overlap:false () in
   let before = Arch.cost arch in
-  (match Merge.optimize ~memo:(Memo.create ()) spec clustering arch with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+  ignore (optimize spec clustering arch);
   check (Alcotest.float 1e-9) "input arch unchanged" before (Arch.cost arch)
 
 let suite =
@@ -203,6 +221,8 @@ let suite =
     Alcotest.test_case "slave needs cpu" `Quick interface_slave_needs_cpu;
     Alcotest.test_case "interface meets requirement" `Quick interface_synthesize_meets_requirement;
     Alcotest.test_case "interface prefers cheap" `Quick interface_synthesize_prefers_cheap;
+    Alcotest.test_case "interface skips known answers" `Quick
+      interface_skips_known_answers;
     Alcotest.test_case "merge compatible devices" `Quick merge_two_compatible_devices;
     Alcotest.test_case "merge rejects overlapping" `Quick merge_rejects_overlapping;
     Alcotest.test_case "merge potential" `Quick merge_potential_counts;
