@@ -16,8 +16,8 @@
    workload from scratch, and report resynth_seconds vs
    full_synth_seconds, the cost delta, whether both reached the same
    feasibility verdict, and the repaired architecture's audit.
-   --gate-warm exits 4 unless every warm case (drift excluded — its
-   recording is rebuilt, so it carries no replay advantage) beats the
+   --gate-warm exits 4 unless every warm case (drift excluded — every
+   execution time changed, so it replays nothing) beats the
    from-scratch wall time with matching verdicts and a clean audit.
 
    --scale N divides the task counts of the eight big examples by N
@@ -30,9 +30,10 @@
    it sets the largest jobs count measured (default 4).
 
    --no-incremental selects the reference evaluator: every candidate
-   evaluation is a full scheduler run, with neither the stage-1
-   tardiness lower bound nor incremental prefix replay; results are
-   bit-identical either way, only the timings move.
+   evaluation is a full, schedule-materializing scheduler run, with
+   neither the stage-1 tardiness lower bound, the verdict-only run nor
+   warm re-synthesis's prefix replay; results are bit-identical either
+   way, only the timings move.
 
    --only NAME[,NAME] restricts table2/table3 to the named examples.
 
@@ -263,13 +264,11 @@ let write_bench_json ~incremental path =
             \"wall_seconds\": %.6f, \"cpu_seconds\": %.6f, \"cost\": %.3f, \
             \"deadlines_met\": %b, \"pruned\": %d, \"rollbacks\": %d, \
             \"replays\": %d, \"rebuilds\": %d, \"merge_replays\": %d, \
-            \"merge_rebuilds\": %d, \"basis_adoptions\": %d, \
-            \"basis_cuts\": %d%s%s}"
+            \"merge_rebuilds\": %d%s%s}"
            e.br_table e.br_example e.br_variant e.br_jobs e.br_scale e.br_wall
            e.br_cpu e.br_cost e.br_met e.br_stats.C.pruned e.br_stats.C.rollbacks
            e.br_stats.C.replays e.br_stats.C.rebuilds
-           e.br_stats.C.merge_replays e.br_stats.C.merge_rebuilds
-           e.br_stats.C.basis_adoptions e.br_stats.C.basis_cuts audit_fields
+           e.br_stats.C.merge_replays e.br_stats.C.merge_rebuilds audit_fields
            portfolio_fields))
     entries;
   Buffer.add_string b "\n  ]";
@@ -662,8 +661,8 @@ let speedup ~max_jobs () =
 
 (* The change matrix: deploy, repair warm with Resynth, synthesize the
    post-change workload cold, and compare.  Drift is measured but not
-   gated — every execution time changes, so the deployed recording is
-   rebuilt and the warm path carries no replay advantage to assert on. *)
+   gated — every execution time changes, so no deployed schedule prefix
+   survives and the warm path carries no replay advantage to assert on. *)
 let scenarios ~scale ~only ~gate_warm () =
   let module R = C.Resynth in
   Printf.printf

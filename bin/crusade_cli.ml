@@ -159,11 +159,11 @@ let pp_portfolio_summary (stats : C.Portfolio.stats) ~best_index ~best_cost
 
 let no_incremental_arg =
   let doc =
-    "Use the reference evaluator: every candidate evaluation is a full \
-     scheduler run, with neither the stage-1 tardiness bound nor prefix \
-     replay of the last full run.  Results are bit-identical with it on or \
-     off; only the synthesis time moves.  The oracle the default is tested \
-     against."
+    "Use the reference evaluator: every candidate evaluation is a full, \
+     schedule-materializing scheduler run, with neither the stage-1 \
+     tardiness bound nor the verdict-only run.  Results are bit-identical \
+     with it on or off; only the synthesis time moves.  The oracle the \
+     default is tested against."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 

@@ -22,6 +22,11 @@
        is byte-identical to [Core.result_json] of the direct flow, and
        an identical re-submission is served from the result cache with
        the same bytes;
+   (b''') on the reconfiguration flavor, a resynth axis: a change event
+       repaired warm audits clean, its report equals the same repair
+       under the reference evaluator (warm repair of an arrival or
+       upgrade is the one path that replays), and it reaches the feasibility verdict of synthesizing
+       the post-change workload from scratch;
    (c) on any failure, a minimized repro (seed + generator parameters +
        configuration + findings) is written as JSON and the exit status
        is nonzero.
@@ -314,13 +319,46 @@ let portfolio_checks ~out ~jobs_max ~seed ~params ~spec ~ref_sig reconfig =
       fail ~out ~kind:"portfolio-audit-violation" ~seed ~params ~config:pf_config
         (violation_strings vs)
 
+(* Everything a re-synthesis report decides, minus its latency.  The
+   warm repair of an arrival or upgrade replays against its basis and
+   the reference evaluator never replays, so equal signatures pin
+   replay's exactness on the one path that still replays. *)
+let report_signature (rep : Core.Resynth.report) =
+  let module R = Core.Resynth in
+  let outcome = function
+    | R.Met -> "met"
+    | R.Tardy t -> Printf.sprintf "tardy %d" t
+    | R.Failed msg -> "failed " ^ msg
+  in
+  [
+    (match rep.R.verdict with
+    | R.Images_only { added_images; _ } ->
+        Printf.sprintf "verdict: images-only %d" added_images
+    | R.Needs_hardware { added_pes; added_cost; _ } ->
+        Printf.sprintf "verdict: needs-hardware %d %h" added_pes added_cost
+    | R.Infeasible -> "verdict: infeasible");
+    "reprogram attempt: " ^ outcome rep.R.reprogram_attempt;
+    "hardware attempt: "
+    ^ Option.fold ~none:"-" ~some:outcome rep.R.hardware_attempt;
+    Printf.sprintf "ripped: [%s] +%d/-%d PEs cost delta %s"
+      (String.concat "," (List.map string_of_int rep.R.ripped_clusters))
+      rep.R.added_pes rep.R.removed_pes
+      (Option.fold ~none:"-" ~some:(Printf.sprintf "%h") rep.R.cost_delta);
+    "result: "
+    ^ Option.fold ~none:"-"
+        ~some:(fun r -> Digest.to_hex (Digest.string (Core.result_json r)))
+        (R.final_result rep);
+  ]
+
 (* Resynth axis (reconfig flavor only, to bound the per-seed cost): take
    the already-synthesized reference as the deployed system, apply a
    change event with [Core.Resynth], and assert that (a) the repaired
-   architecture audits clean and (b) the warm repair reaches the same
-   feasibility verdict as synthesizing the post-change workload from
-   scratch.  Costs may legitimately differ — the repair is constrained
-   by the deployed placement — so the oracle is the verdict, not the
+   architecture audits clean, (b) the warm repair's report equals the
+   report of the same repair under the reference evaluator (replay is
+   exact), and (c) the warm repair reaches the same feasibility verdict
+   as synthesizing the post-change workload from scratch.  Costs may
+   legitimately differ from the scratch run — the repair is constrained
+   by the deployed placement — so that oracle is the verdict, not the
    signature.  The change kind rotates with the seed so a seed range
    covers the whole matrix. *)
 let resynth_checks ~out ~seed ~params ~spec ~options ~reference =
@@ -361,6 +399,21 @@ let resynth_checks ~out ~seed ~params ~spec ~options ~reference =
       fail ~out
         ~kind:("resynth-" ^ kind ^ "-audit-violation")
         ~seed ~params (violation_strings vs));
+  (match
+     R.apply ~options:{ options with Core.incremental = false } deployed change
+   with
+  | Error msg ->
+      fail ~out ~kind:("resynth-" ^ kind ^ "-reference-error") ~seed ~params
+        [ msg ]
+  | Ok ref_rep ->
+      let warm_sig = report_signature rep
+      and ref_sig = report_signature ref_rep in
+      if warm_sig <> ref_sig then
+        fail ~out
+          ~kind:("resynth-" ^ kind ^ "-reference-mismatch")
+          ~seed ~params
+          (List.map (( ^ ) "warm:      ") warm_sig
+          @ List.map (( ^ ) "reference: ") ref_sig));
   let scratch =
     match change with
     | R.Graph_arrival _ | R.Upgrade _ | R.Pe_failure _ ->
@@ -652,9 +705,10 @@ let verdict_flip (r : Core.result) =
 
 (* Replay-oracle self-test: corrupt a live recording and assert that a
    full-prefix replay against the unchanged architecture diverges from
-   the fresh run.  Proves the differential check (fuzz axis
-   incremental on/off) is able to fail — a replay bug that alters the
-   schedule cannot hide behind an insensitive fingerprint. *)
+   the fresh run.  Proves the differential checks over replayed
+   evaluations (warm re-synthesis against from scratch) are able to
+   fail — a replay bug that alters the schedule cannot hide behind an
+   insensitive fingerprint. *)
 let replay_corruption (r : Core.result) =
   let name = "replay-corruption" in
   let spec = r.Core.spec
@@ -704,13 +758,14 @@ let replay_corruption (r : Core.result) =
         end
       end
 
-(* Merge-basis self-test: an in-place merge trial perturbs the
-   architecture under a journal checkpoint and rolls back on rejection;
-   the per-pass basis must then replay the full prefix bit-identically
-   against the restored architecture — unless the basis itself is
+(* Basis-after-rollback self-test: an in-place trial (a merge trial
+   during warm re-synthesis, say) perturbs the architecture under a
+   journal checkpoint and rolls back on rejection; a recording of the
+   architecture must then replay the full prefix bit-identically
+   against the restored architecture — unless the recording itself is
    corrupted, which must surface as a diverging schedule.  Unlike
    [replay_corruption] (final step), this corrupts a step in the middle
-   of the prefix, the region a warm merge basis actually adopts. *)
+   of the prefix, the region a later trial replays verbatim. *)
 let merge_basis_corruption (r : Core.result) =
   let name = "merge-basis-corruption" in
   let spec = r.Core.spec

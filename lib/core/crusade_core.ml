@@ -6,7 +6,6 @@ module Arch = Crusade_alloc.Arch
 module Options = Crusade_alloc.Options
 module Schedule = Crusade_sched.Schedule
 module Evaluator = Crusade_sched.Evaluator
-module Incremental = Crusade_sched.Incremental
 module Merge = Crusade_reconfig.Merge
 module Interface = Crusade_reconfig.Interface
 module Vec = Crusade_util.Vec
@@ -49,11 +48,6 @@ type traj = {
   t_bound : bound_state option;
   t_deadline : float option;  (* absolute wall clock *)
   t_fit_scale : float * float;  (* merge PFU/pin cap scale, each <= 1.0 *)
-  t_basis : Incremental.Store.t option;
-      (* shared recording store: perturbed trajectories (index >= 1)
-         publish and adopt replay bases across their physically distinct
-         clusterings; [None] for trajectory 0, which stays bit-identical
-         to a plain run down to its counters *)
 }
 
 type options = {
@@ -97,8 +91,6 @@ type eval_stats = {
   rebuilds : int;
   merge_replays : int;
   merge_rebuilds : int;
-  basis_adoptions : int;
-  basis_cuts : int;
   traj_launched : int;
   traj_completed : int;
   traj_aborted : int;
@@ -129,9 +121,9 @@ type result = {
 let wall_now () = Unix.gettimeofday ()
 
 (* Per-run evaluator state, created at flow start and dropped with the
-   run: the candidate evaluator (its recordings retain whole
-   architectures, so it must not outlive the run), the metrics registry
-   its counters live in, and the trace sink.  Nothing here is
+   run: the candidate evaluator (a warm basis retains a whole
+   architecture's recording, so it must not outlive the run), the
+   metrics registry its counters live in, and the trace sink.  Nothing here is
    process-global — back-to-back or concurrent syntheses report fully
    independent [eval_stats]. *)
 type ctx = {
@@ -146,12 +138,13 @@ type ctx = {
       (* the trajectory's perturbation stream; [None] for trajectory 0
          and plain runs, which therefore stay bit-identical *)
   mutable merge_replays : int;
-  mutable merge_rebuilds : int;
-      (* the merge phase's slice of the replay/rebuild counters, sampled
-         around the [Merge.optimize] span in [run_flow] *)
+      (* the merge phase's slice of the replay counter, sampled around
+         the [Merge.optimize] span in [run_flow] *)
 }
 
-let make_ctx (opts : options) =
+(* [basis] is warm re-synthesis's recording of the post-change
+   architecture; synthesis from scratch records nothing. *)
+let make_ctx ?basis (opts : options) =
   let metrics = Trace.Metrics.create () in
   (* Cooperative cancellation shares the budget check's commit points:
      a flow is cancellable exactly where it is budget-abortable. *)
@@ -174,22 +167,16 @@ let make_ctx (opts : options) =
     | Some t when t.t_index > 0 -> Some (Rng.create t.t_seed)
     | Some _ | None -> None
   in
-  let basis_store =
-    match opts.portfolio with
-    | Some { t_basis; _ } -> t_basis
-    | None -> None
-  in
   {
     eval =
-      Evaluator.create ~incremental:opts.incremental ?basis_store
-        ?trace:opts.trace ~metrics ();
+      Evaluator.create ~incremental:opts.incremental ?basis ?trace:opts.trace
+        ~metrics ();
     metrics;
     rollback_counter = Trace.Metrics.counter metrics "eval.rollbacks";
     trace = opts.trace;
     check_budget;
     perturb;
     merge_replays = 0;
-    merge_rebuilds = 0;
   }
 
 let eval_stats_of ctx =
@@ -200,11 +187,9 @@ let eval_stats_of ctx =
     memo_bypassed = 0;
     rollbacks = Trace.Counter.get ctx.rollback_counter;
     replays = Evaluator.replays ctx.eval;
-    rebuilds = Evaluator.rebuilds ctx.eval;
+    rebuilds = 0;
     merge_replays = ctx.merge_replays;
-    merge_rebuilds = ctx.merge_rebuilds;
-    basis_adoptions = Evaluator.adoptions ctx.eval;
-    basis_cuts = Evaluator.basis_cuts ctx.eval;
+    merge_rebuilds = 0;
     traj_launched = 0;
     traj_completed = 0;
     traj_aborted = 0;
@@ -311,9 +296,6 @@ let sample_eval_counters ctx =
       ("pruned", Evaluator.prunes ctx.eval);
       ("rollbacks", Trace.Counter.get ctx.rollback_counter);
       ("replays", Evaluator.replays ctx.eval);
-      ("rebuilds", Evaluator.rebuilds ctx.eval);
-      ("basis_adoptions", Evaluator.adoptions ctx.eval);
-      ("basis_cuts", Evaluator.basis_cuts ctx.eval);
     ]
 
 let n_modes arch =
@@ -331,8 +313,9 @@ let n_modes arch =
    admissible bound, drops a candidate that cannot be feasible and
    whose bound paired with its exact cost does not beat the incumbent
    fallback score either (counted against the window exactly like its
-   full evaluation would have been); stage 2 replays or runs its
-   schedule.  Both stages preserve the committed candidate bit for bit.
+   full evaluation would have been); stage 2 runs (or, against a warm
+   basis, replays) its schedule for the verdict alone.  Both stages
+   preserve the committed candidate bit for bit.
 
    One state machine — window guard, first-feasible commit, least-tardy
    fallback held as a candidate index — consumes the outcomes in index
@@ -499,8 +482,9 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
    cluster not yet placed and not skipped, repair residual tardiness,
    run dynamic-reconfiguration generation, synthesize the programming
    interface and assemble the result. *)
-let run_flow ~opts ~t0 ~w0 (spec : Spec.t) (clustering : Clustering.t) arch ~skip =
-  let ctx = make_ctx opts in
+let run_flow ?basis ~opts ~t0 ~w0 (spec : Spec.t) (clustering : Clustering.t)
+    arch ~skip =
+  let ctx = make_ctx ?basis opts in
   let traj = opts.portfolio in
   (* Incumbent-bound check: abort iff (floor, index) strictly loses to
      the incumbent (cost, index) lexicographically — the final result's
@@ -587,12 +571,6 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) (clustering : Clustering.t) arch ~ski
       with
       | Error _ as e -> e
       | Ok () ->
-          (* Refresh the incremental engine's recording on the committed
-             architecture: the next cluster's trials then diff against a
-             basis that differs only by their own placement, maximizing
-             the replayable prefix.  One record-only run per cluster
-             against dozens of trials served by replay. *)
-          Evaluator.refresh ctx.eval ~copy_cap:opts.copy_cap spec clustering arch;
           allocated.(cluster.cid) <- true;
           ctx.check_budget ();
           (* During allocation, repair (<= 20 vacating rip-ups) and the
@@ -748,8 +726,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) (clustering : Clustering.t) arch ~ski
       | Ok sched ->
           let final_arch, sched, merge_stats =
             if opts.dynamic_reconfiguration then begin
-              let replays0 = Evaluator.replays ctx.eval
-              and rebuilds0 = Evaluator.rebuilds ctx.eval in
+              let replays0 = Evaluator.replays ctx.eval in
               let better, sched, stats =
                 Trace.span ctx.trace "merge" (fun () ->
                     Merge.optimize ~copy_cap:opts.copy_cap
@@ -758,7 +735,6 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) (clustering : Clustering.t) arch ~ski
                       ~evaluator:ctx.eval spec clustering arch sched)
               in
               ctx.merge_replays <- Evaluator.replays ctx.eval - replays0;
-              ctx.merge_rebuilds <- Evaluator.rebuilds ctx.eval - rebuilds0;
               (better, sched, Some stats)
             end
             else (arch, sched, None)
@@ -893,7 +869,7 @@ module Portfolio = struct
      bit-identical to the plain flow and exempt from bound and budget
      aborts (it is the anytime fallback and the [baseline_cost]). *)
   let make_traj_options (base : options) ~seed ~index ~inner_jobs ~bound
-      ~deadline ~basis =
+      ~deadline =
     if index = 0 then { base with jobs = inner_jobs }
     else begin
       let kr = Rng.create ((seed * 1_000_003) + (index * 7919)) in
@@ -928,14 +904,13 @@ module Portfolio = struct
               t_bound = bound;
               t_deadline = deadline;
               t_fit_scale;
-              t_basis = basis;
             };
       }
     end
 
   let trajectory_options (base : options) ~seed ~index =
     make_traj_options base ~seed ~index ~inner_jobs:base.jobs ~bound:None
-      ~deadline:None ~basis:None
+      ~deadline:None
 
   let offer_incumbent bound ~cost ~index =
     match bound with
@@ -1015,14 +990,6 @@ module Portfolio = struct
           Some { b_best = Atomic.make None; b_updates = Atomic.make 0 }
         else None
       in
-      (* One shared recording store for the perturbed trajectories: they
-         run content-identical (or near-identical) clusterings over the
-         same physical spec, so a basis recorded by one seeds the others
-         through cross-clustering adoption.  Results are unaffected —
-         adopted replays are bit-identical by construction and the
-         copy-cap check excludes cap-perturbed trajectories — only
-         wall-clock and the replay/adoption counters move. *)
-      let basis = Some (Incremental.Store.create ()) in
       let run_traj k =
         let expired =
           k > 0
@@ -1035,7 +1002,6 @@ module Portfolio = struct
             make_traj_options options ~seed ~index:k ~inner_jobs
               ~bound:(if k = 0 then None else bound)
               ~deadline:(if k = 0 then None else deadline)
-              ~basis
           in
           match flow opts_k with
           | Ok r ->
@@ -1362,11 +1328,11 @@ let result_json (r : result) =
 
    Repair a deployed architecture after a change event instead of
    synthesizing from scratch: compute the invalidation closure of the
-   change (the clusters it rips up), seed the incremental engine's
-   recording store from the post-change architecture so untouched
-   schedule prefixes replay verbatim, and re-run the flow over only the
-   cut tail — placed clusters are treated as already allocated by
-   [run_flow], so allocation touches exactly the ripped/arriving set. *)
+   change (the clusters it rips up), record one schedule of the
+   post-change architecture so that untouched schedule prefixes replay
+   verbatim, and re-run the flow over only the cut tail — placed
+   clusters are treated as already allocated by [run_flow], so
+   allocation touches exactly the ripped/arriving set. *)
 
 module Resynth = struct
   module Task = Crusade_taskgraph.Task
@@ -1422,27 +1388,6 @@ module Resynth = struct
     match rep.verdict with
     | Images_only { result; _ } | Needs_hardware { result; _ } -> Some result
     | Infeasible -> None
-
-  (* Carry a replay-basis store through the options without perturbing
-     anything else: a [t_index = 0] trajectory with no bound, no
-     deadline and neutral fit scales runs bit-identically to the plain
-     flow — its only effect is that [make_ctx] hands the store to the
-     incremental engine. *)
-  let with_basis_store (opts : options) store =
-    let traj =
-      match opts.portfolio with
-      | Some t -> { t with t_basis = Some store }
-      | None ->
-          {
-            t_index = 0;
-            t_seed = 0;
-            t_bound = None;
-            t_deadline = None;
-            t_fit_scale = (1.0, 1.0);
-            t_basis = Some store;
-          }
-    in
-    { opts with portfolio = Some traj }
 
   (* Rebuild the specification with every feasible execution time scaled
      by [pct] percent.  Ids, edges, compatibility vectors and the
@@ -1619,32 +1564,40 @@ module Resynth = struct
         match prepared with
         | Error _ as e -> e
         | Ok (spec', skip, mk_arch, ripped) ->
-            (* Warm start: record one schedule of the post-change
-               architecture into a shared store; both attempts' engines
-               then replay every schedule prefix the change provably
-               left untouched.  (Under drift the recording is taken
-               against the rebuilt spec — every execution time changed,
-               so the deployed recording itself is useless, but the
-               still-placed architecture is rescheduled once and that
-               recording serves the repair trials.) *)
-            let store = Incremental.Store.create () in
-            if options.incremental then begin
-              let eng = Incremental.create ~store () in
-              Incremental.refresh eng ~copy_cap:options.copy_cap spec'
-                clustering (mk_arch ())
-            end;
+            (* Warm start for arrivals and upgrades: record one
+               schedule of the post-change architecture; both attempts'
+               evaluators then replay every schedule prefix the change
+               provably left untouched.  Placing new graphs on an
+               otherwise intact deployment is where replay pays: the
+               doomed no-new-PE attempt repairs at length against it.
+               Departures, PE failures and drift place no new graph; on
+               the change-stream benchmark the up-front recording cost
+               them more than their replays saved (EXPERIMENTS.md, "Warm
+               basis against verdict-only runs in warm repair"), so
+               their trials run verdict-only like synthesis from
+               scratch. *)
+            let basis =
+              match change with
+              | (Graph_arrival _ | Upgrade _) when options.incremental -> (
+                  match
+                    Schedule.Replay.record_only ~copy_cap:options.copy_cap
+                      spec' clustering (mk_arch ())
+                  with
+                  | Ok r -> Some r
+                  | Error _ -> None)
+              | Graph_arrival _ | Upgrade _ | Graph_departure _ | Pe_failure _
+              | Exec_drift _ ->
+                  None
+            in
             let attempt ~allow_new_pes =
               let opts = { options with allow_new_pes } in
-              let opts =
-                if opts.incremental then with_basis_store opts store else opts
-              in
               let arch0 = mk_arch () in
               arch0.Arch.interface_cost <- None;
               Trace.span options.trace
                 ~args:[ ("new_pes", Trace.Str (string_of_bool allow_new_pes)) ]
                 "resynth.attempt"
                 (fun () ->
-                  run_flow ~opts ~t0 ~w0 spec' clustering arch0 ~skip)
+                  run_flow ?basis ~opts ~t0 ~w0 spec' clustering arch0 ~skip)
             in
             let outcome = function
               | Ok (r : result) ->

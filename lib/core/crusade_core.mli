@@ -48,12 +48,15 @@ type options = {
       (** the one evaluator switch (default true): evaluate candidates
           through {!Crusade_sched.Evaluator}'s two stages — the
           admissible tardiness bound {!Crusade_sched.Schedule.estimate},
-          then a replay of the provably unchanged prefix of the last full
-          scheduler run ({!Crusade_sched.Incremental}).  Off selects the
-          reference evaluator: every evaluation is a full
-          [Schedule.run].  Synthesis results are bit-identical either
-          way; [--no-incremental] in the CLI and the bench harness maps
-          here. *)
+          then a verdict-only scheduler run
+          ({!Crusade_sched.Schedule.run_verdict}); when {!Resynth.apply}
+          repairs a graph arrival or upgrade, the second stage instead
+          replays the provably unchanged prefix of one recording of the
+          post-change architecture.  Off
+          selects the reference evaluator: every evaluation is a full
+          [Schedule.run] and nothing is replayed.  Synthesis results are
+          bit-identical either way; [--no-incremental] in the CLI and
+          the bench harness maps here. *)
   trace : Crusade_util.Trace.t option;
       (** when set, every synthesis phase (pre-processing, clustering,
           allocation per cluster and per candidate, repair, merge
@@ -98,23 +101,16 @@ type eval_stats = {
           read an honest zero. *)
   rollbacks : int;  (** journaled trial mutations undone in place *)
   replays : int;
-      (** candidate evaluations served by incremental prefix replay *)
+      (** candidate evaluations served by prefix replay against warm
+          re-synthesis's recording of the post-change architecture
+          (graph arrivals and upgrades); 0 otherwise *)
   rebuilds : int;
-      (** full scheduler runs through the incremental engine; 0 when
-          [options.incremental] is off *)
-  merge_replays : int;
-      (** the merge phase's share of [replays] — how much of the PPE
-          merge/combine trial load the incremental basis absorbed *)
-  merge_rebuilds : int;  (** the merge phase's share of [rebuilds] *)
-  basis_adoptions : int;
-      (** replays served by a basis recorded under a different
-          clustering identity (cross-basis adoption; a subset of
-          [replays]).  Zero outside portfolio runs — a single
-          trajectory's bases always carry its own clustering *)
-  basis_cuts : int;
-      (** total recording steps the adopted bases could not cover (the
-          rescheduled remainders); small relative to adoptions means
-          bases transplant well across clusterings *)
+      (** always 0, as is [merge_rebuilds].  They counted recording
+          scheduler runs, and synthesis no longer records; the fields
+          stay so that readers of the counters (the benchmark harness)
+          keep compiling and read an honest zero. *)
+  merge_replays : int;  (** the merge phase's share of [replays] *)
+  merge_rebuilds : int;  (** always 0, see [rebuilds] *)
   traj_launched : int;
       (** portfolio trajectories launched; 0 outside portfolio runs
           (the winning result is annotated via {!Portfolio.annotate}) *)
@@ -311,10 +307,10 @@ val result_json : result -> string
     instead of synthesizing from scratch.
 
     {!Resynth.apply} computes the invalidation closure of the change —
-    the clusters it rips out of their sites — seeds the incremental
-    engine's recording store from the post-change architecture so every
-    schedule prefix the change provably left untouched replays verbatim,
-    and re-runs the synthesis flow over only the cut tail (placed
+    the clusters it rips out of their sites — and, for a graph arrival
+    or upgrade, records one schedule of the post-change architecture so
+    that every candidate's schedule prefix the change provably left
+    untouched replays verbatim; it re-runs the synthesis flow over only the cut tail (placed
     clusters are treated as already allocated).  Two attempts mirror the
     field-upgrade discipline: first with [allow_new_pes = false] (can
     the deployed hardware absorb the change by reprogramming alone?),

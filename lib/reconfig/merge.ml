@@ -168,8 +168,7 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
   in
   (* The two merge-trial producers.  At [jobs = 1] a trial mutates the
      live architecture under a journal checkpoint and is kept applied
-     when acceptable; with the incremental engine attached it is a
-     prefix replay against a warm basis.  At [jobs > 1] each trial of a
+     when acceptable.  At [jobs > 1] each trial of a
      batch works on its own copy of the same base on the domain pool. *)
   let trial_in_place ~base_cost (pos_k, src_id, dst_id) =
     let ck = Arch.checkpoint current in

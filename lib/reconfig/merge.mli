@@ -50,8 +50,9 @@ val optimize :
 
     [evaluator] is the calling run's {!Crusade_sched.Evaluator}: its
     stage 1 rejects trials whose exact cost or tardiness bound already
-    rules out acceptance, and its engine replays trial schedules against
-    a warm basis.  [trace] adds ["merge.trial"] / ["merge.combine"] spans
+    rules out acceptance, and its stage 2 judges the rest by verdict
+    alone (replayed against warm re-synthesis's basis when it has one).
+    [trace] adds ["merge.trial"] / ["merge.combine"] spans
     and a ["merge.pass"] instant per pass.
 
     [fit_scale] (default [(1.0, 1.0)]) scales the usable PFU/pin caps

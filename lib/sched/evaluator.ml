@@ -1,46 +1,33 @@
 module Trace = Crusade_util.Trace
 
 type t = {
-  engine : Incremental.t option;  (* [None]: the reference evaluator *)
+  reference : bool;
+  basis : Schedule.Replay.recording option;
   trace : Trace.t option;
   prune_counter : Trace.Counter.t;
+  replay_counter : Trace.Counter.t;
 }
 
-let create ?(incremental = true) ?basis_store ?trace ?metrics () =
+let create ?(incremental = true) ?basis ?trace ?metrics () =
+  let counter name =
+    match metrics with
+    | Some m -> Trace.Metrics.counter m name
+    | None -> Trace.Counter.make ()
+  in
   {
-    engine =
-      (if incremental then
-         Some (Incremental.create ?store:basis_store ?trace ?metrics ())
-       else None);
+    reference = not incremental;
+    basis = (if incremental then basis else None);
     trace;
-    prune_counter =
-      (match metrics with
-      | Some m -> Trace.Metrics.counter m "eval.pruned"
-      | None -> Trace.Counter.make ());
+    prune_counter = counter "eval.pruned";
+    replay_counter = counter "eval.replays";
   }
 
-let engine_count f t = match t.engine with Some e -> f e | None -> 0
 let prunes t = Trace.Counter.get t.prune_counter
-let replays = engine_count Incremental.replays
-let rebuilds = engine_count Incremental.rebuilds
-let adoptions = engine_count Incremental.adoptions
-let basis_cuts = engine_count Incremental.basis_cuts
-
-(* [Incremental.record] and [refresh] emit their own "schedule.run"
-   spans. *)
-let full_run t ~copy_cap spec clustering arch =
-  Trace.span t.trace "schedule.run" (fun () ->
-      Schedule.run ~copy_cap spec clustering arch)
+let replays t = Trace.Counter.get t.replay_counter
 
 let run t ?(copy_cap = Schedule.default_copy_cap) spec clustering arch =
-  match t.engine with
-  | Some eng -> Incremental.record eng ~copy_cap spec clustering arch
-  | None -> full_run t ~copy_cap spec clustering arch
-
-let refresh t ?(copy_cap = Schedule.default_copy_cap) spec clustering arch =
-  match t.engine with
-  | Some eng -> Incremental.refresh eng ~copy_cap spec clustering arch
-  | None -> ()
+  Trace.span t.trace "schedule.run" (fun () ->
+      Schedule.run ~copy_cap spec clustering arch)
 
 let verdict_of = function
   | Error _ as e -> e
@@ -52,20 +39,28 @@ let verdict_of = function
           v_scheduled = sched.Schedule.scheduled_tasks;
         }
 
+(* The basis is never refreshed: it is the one recording of the
+   architecture every candidate of a warm repair perturbs, so a stale
+   basis only shortens the replayed prefix, never changes a verdict. *)
 let evaluate t ?(copy_cap = Schedule.default_copy_cap) spec clustering arch =
-  match t.engine with
-  | Some eng -> (
-      match Incremental.evaluate eng ~copy_cap spec clustering arch with
-      | `Replayed v -> v
-      | `Ran result -> verdict_of result)
-  | None -> verdict_of (full_run t ~copy_cap spec clustering arch)
+  if t.reference then verdict_of (run t ~copy_cap spec clustering arch)
+  else
+    match t.basis with
+    | Some r when Schedule.Replay.compatible r ~copy_cap spec clustering ->
+        let prep = Schedule.Replay.prepare r spec clustering arch in
+        Trace.Counter.incr t.replay_counter;
+        Trace.instant t.trace "eval.replay";
+        Schedule.Replay.replay_verdict prep
+    | Some _ | None ->
+        Trace.span t.trace "schedule.run" (fun () ->
+            Schedule.run_verdict ~copy_cap spec clustering arch)
 
 let estimate t ?(copy_cap = Schedule.default_copy_cap) spec clustering arch =
   Trace.span t.trace "schedule.estimate" (fun () ->
       Schedule.estimate ~copy_cap spec clustering arch)
 
 let prune t ?copy_cap ?(settled = false) spec clustering arch rejects =
-  Option.is_some t.engine
+  (not t.reference)
   && (settled
      ||
      match estimate t ?copy_cap spec clustering arch with

@@ -1,14 +1,15 @@
 (** Candidate evaluation for one synthesis run: the single place that
-    decides between the {!Incremental} engine and a full
-    {!Schedule.run}, runs the stage-1 bound, and owns the evaluator
-    counters.
+    runs the stage-1 bound, picks the stage-2 path and owns the
+    evaluator counters.
 
     Stage 1 is the admissible bound {!Schedule.estimate}: a candidate
     the bound already rules out is rejected without building a
-    schedule.  Stage 2 is a prefix replay against the engine's
-    recording of the last full run, or a full run when no recording
-    fits.  Both stages are exact: the committed candidates, and so the
+    schedule.  Stage 2 is a verdict-only full run
+    ({!Schedule.run_verdict}), or, on a handle created with a warm
+    [basis] compatible with the candidate, a prefix replay against that
+    basis.  Both stages are exact: the committed candidates, and so the
     results, are the same as with a full {!Schedule.run} per evaluation.
+    Nothing is recorded during evaluation.
 
     With [~incremental:false] the handle is the {e reference evaluator}:
     every evaluation is a full {!Schedule.run}, with no stage 1 and no
@@ -22,19 +23,22 @@ type t
 
 val create :
   ?incremental:bool ->
-  ?basis_store:Incremental.Store.t ->
+  ?basis:Schedule.Replay.recording ->
   ?trace:Crusade_util.Trace.t ->
   ?metrics:Crusade_util.Trace.Metrics.t ->
   unit ->
   t
-(** [incremental] (default true) attaches the {!Incremental} engine and
-    enables stage 1.  [?basis_store] hands the engine a shared recording
-    store, so several runs (portfolio trajectories, warm re-synthesis
-    attempts) seed each other's replay bases; ignored by the reference
-    evaluator.  [?metrics] registers ["eval.pruned"] and the engine's
-    counters in the given per-run registry.  [?trace] puts every
-    {!Schedule.run} in a ["schedule.run"] span and every bound in a
-    ["schedule.estimate"] span. *)
+(** [incremental] (default true) enables stage 1 and the verdict-only
+    stage 2; false selects the reference evaluator.  [?basis] is a warm
+    replay basis (warm re-synthesis of a graph arrival or upgrade hands
+    in one recording of the
+    post-change architecture): every evaluation whose spec, clustering
+    and copy cap it is {!Schedule.Replay.compatible} with replays
+    against it; ignored by the reference evaluator.  [?metrics]
+    registers ["eval.pruned"] and ["eval.replays"] in the given per-run
+    registry.  [?trace] puts every full run in a ["schedule.run"] span,
+    every bound in a ["schedule.estimate"] span, and marks every replay
+    with an ["eval.replay"] instant. *)
 
 val run :
   t ->
@@ -43,8 +47,7 @@ val run :
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
   (Schedule.t, string) result
-(** Exactly {!Schedule.run}.  With the engine attached, the run also
-    refreshes its recording. *)
+(** Exactly {!Schedule.run}, in a ["schedule.run"] span. *)
 
 val evaluate :
   t ->
@@ -54,20 +57,9 @@ val evaluate :
   Crusade_alloc.Arch.t ->
   (Schedule.verdict, string) result
 (** The verdict of {!run} ([deadlines_met], [total_tardiness],
-    [scheduled_tasks]), bit-identical, served by a prefix replay that
-    materializes no schedule whenever the engine holds a usable
-    recording.  Use {!run} when the schedule itself is needed. *)
-
-val refresh :
-  t ->
-  ?copy_cap:int ->
-  Crusade_taskgraph.Spec.t ->
-  Crusade_cluster.Clustering.t ->
-  Crusade_alloc.Arch.t ->
-  unit
-(** Refreshes the engine's recording with a record-only run (no
-    schedule is materialized).  For commit points, where the schedule
-    would be discarded.  No-op on the reference evaluator. *)
+    [scheduled_tasks]), bit-identical, without materializing a schedule
+    (except on the reference evaluator).  Use {!run} when the schedule
+    itself is needed. *)
 
 val prune :
   t ->
@@ -100,15 +92,5 @@ val prunes : t -> int
 (** Candidates rejected by {!prune}. *)
 
 val replays : t -> int
-(** Evaluations served by prefix replay; 0 on the reference evaluator. *)
-
-val rebuilds : t -> int
-(** Full scheduler runs through the engine (recording refreshes
-    included); 0 on the reference evaluator. *)
-
-val adoptions : t -> int
-(** Replays served by a cross-clustering adopted basis (a subset of
-    {!replays}). *)
-
-val basis_cuts : t -> int
-(** Recording steps the adopted bases could not cover. *)
+(** Evaluations served by prefix replay against the warm basis; 0
+    without one. *)

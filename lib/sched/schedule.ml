@@ -130,8 +130,8 @@ type inst_static = {
   is_tie : bool array;
       (* per task: some instance of this task shares an effective
          deadline with an instance of a *different* task, so the
-         ready-queue comparator can reach its priority level.  The
-         incremental engine must treat a level change of such a task as
+         ready-queue comparator can reach its priority level.  Prefix
+         replay must treat a level change of such a task as
          invalidating; level changes of tie-free tasks cannot influence
          any comparison. *)
 }
@@ -1211,22 +1211,30 @@ let replay_cut (r : recording) (spec : Spec.t) (arch : Arch.t) ~site_pe ~site_mo
     !s
   end
 
-let run ?(copy_cap = default_copy_cap) (spec : Spec.t) (clustering : Clustering.t)
-    (arch : Arch.t) =
+(* A run from scratch (no replay) against [arch]. *)
+let exec_fresh ~copy_cap ~materialize ~record (spec : Spec.t)
+    (clustering : Clustering.t) (arch : Arch.t) =
   let site_pe, site_mode = site_arrays spec clustering arch in
   let levels = priorities spec clustering arch in
-  match
-    exec ~copy_cap ~materialize:true ~record:false ~replay:None spec clustering
-      arch ~site_pe ~site_mode ~levels
-  with
-  | Error _ as e -> e
-  | Ok out -> Ok (Option.get out.x_sched)
+  exec ~copy_cap ~materialize ~record ~replay:None spec clustering arch ~site_pe
+    ~site_mode ~levels
 
-(* The incremental engine's low-level interface: capture a recording
-   alongside a full run, diff a candidate architecture against it, and
-   replay the provably unchanged prefix.  [Incremental] wraps this with
-   a policy; the raw operations stay exposed for the differential tests
-   and the fuzzer's self-test. *)
+let run ?(copy_cap = default_copy_cap) spec clustering arch =
+  exec_fresh ~copy_cap ~materialize:true ~record:false spec clustering arch
+  |> Result.map (fun out -> Option.get out.x_sched)
+
+(* Candidate evaluation consumes only the verdict, so skip everything
+   [run] builds for its caller: instance records, activity intervals
+   and mode-switch counts. *)
+let run_verdict ?(copy_cap = default_copy_cap) spec clustering arch =
+  exec_fresh ~copy_cap ~materialize:false ~record:false spec clustering arch
+  |> Result.map (fun out -> out.x_verdict)
+
+(* Record/replay: capture a recording alongside a full run, diff a
+   candidate architecture against it, and replay the provably unchanged
+   prefix.  Warm re-synthesis replays its repair trials against one
+   recording of the post-change architecture; the differential tests and
+   the fuzzer's self-test drive the raw operations. *)
 module Replay = struct
   type nonrec recording = recording
 
@@ -1236,45 +1244,16 @@ module Replay = struct
       (clustering : Clustering.t) =
     r.r_spec == spec && r.r_clustering == clustering && r.r_copy_cap = copy_cap
 
-  (* Cross-basis adoption: a recording taken under a *different*
-     clustering identity is still a sound diff basis as long as the
-     physical spec and copy cap match.  The scheduler consumes the
-     clustering only through the task-indexed site/priority arrays —
-     recomputed for the candidate by [prepare] — and the recording's
-     snapshot is entirely task- and resource-indexed (no cluster ids),
-     so [replay_cut]'s per-task diff already accounts for every
-     clustering-induced change: tasks whose placement, levels or
-     resource environment moved are marked dirty and rescheduled, the
-     rest replay verbatim.  Spec identity must still be physical
-     ([==]): the diff indexes the recording's arrays by task id. *)
-  let adoptable (r : recording) ?(copy_cap = default_copy_cap) (spec : Spec.t) =
-    r.r_spec == spec && r.r_copy_cap = copy_cap
+  let record ?(copy_cap = default_copy_cap) spec clustering arch =
+    exec_fresh ~copy_cap ~materialize:true ~record:true spec clustering arch
+    |> Result.map (fun out -> (Option.get out.x_sched, Option.get out.x_recording))
 
-  let record ?(copy_cap = default_copy_cap) (spec : Spec.t)
-      (clustering : Clustering.t) (arch : Arch.t) =
-    let site_pe, site_mode = site_arrays spec clustering arch in
-    let levels = priorities spec clustering arch in
-    match
-      exec ~copy_cap ~materialize:true ~record:true ~replay:None spec clustering
-        arch ~site_pe ~site_mode ~levels
-    with
-    | Error _ as e -> e
-    | Ok out -> Ok (Option.get out.x_sched, Option.get out.x_recording)
-
-  (* Recording capture without schedule materialization: the commit
-     points of the synthesis loops refresh the replay basis but discard
-     the schedule, so building the instance records and activity
-     intervals there is pure waste. *)
-  let record_only ?(copy_cap = default_copy_cap) (spec : Spec.t)
-      (clustering : Clustering.t) (arch : Arch.t) =
-    let site_pe, site_mode = site_arrays spec clustering arch in
-    let levels = priorities spec clustering arch in
-    match
-      exec ~copy_cap ~materialize:false ~record:true ~replay:None spec
-        clustering arch ~site_pe ~site_mode ~levels
-    with
-    | Error _ as e -> e
-    | Ok out -> Ok (Option.get out.x_recording)
+  (* Recording capture without schedule materialization: a replay
+     basis needs the pop sequence and reservations, not the instance
+     records and activity intervals. *)
+  let record_only ?(copy_cap = default_copy_cap) spec clustering arch =
+    exec_fresh ~copy_cap ~materialize:false ~record:true spec clustering arch
+    |> Result.map (fun out -> Option.get out.x_recording)
 
   type prep = {
     p_recording : recording;

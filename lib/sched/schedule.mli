@@ -85,19 +85,27 @@ type verdict = {
   v_met : bool;  (** {!t}[.deadlines_met] *)
   v_scheduled : int;  (** {!t}[.scheduled_tasks] *)
 }
-(** What candidate evaluation actually consumes from a schedule.  The
-    incremental engine returns verdicts without materializing instance
-    records, activity windows or mode-switch counts. *)
+(** What candidate evaluation actually consumes from a schedule. *)
 
-(** Low-level record/replay interface of the incremental engine (see
-    DESIGN.md "Incremental rescheduling").  [record] captures, alongside
-    a normal run, the pop sequence and the exact resource reservations of
-    every step plus a snapshot of everything the scheduler read from the
-    architecture.  [prepare] diffs a candidate architecture against that
-    snapshot and computes the provably identical prefix; [replay_verdict]
-    / [replay_run] fast-forward through it and schedule only the
-    remainder.  Exposed for {!Incremental} (the policy layer), the
-    differential tests and the fuzzer's self-test. *)
+val run_verdict :
+  ?copy_cap:int ->
+  Crusade_taskgraph.Spec.t ->
+  Crusade_cluster.Clustering.t ->
+  Crusade_alloc.Arch.t ->
+  (verdict, string) result
+(** The verdict of {!run} on the same inputs, bit-identical (including
+    its [Error]), without materializing instance records, activity
+    windows or mode-switch counts. *)
+
+(** Record/replay (see DESIGN.md "Incremental rescheduling").  [record]
+    captures, alongside a normal run, the pop sequence and the exact
+    resource reservations of every step plus a snapshot of everything
+    the scheduler read from the architecture.  [prepare] diffs a
+    candidate architecture against that snapshot and computes the
+    provably identical prefix; [replay_verdict] / [replay_run]
+    fast-forward through it and schedule only the remainder.  Used by
+    {!Evaluator}'s warm basis, the differential tests and the fuzzer's
+    self-test. *)
 module Replay : sig
   type recording
 
@@ -112,16 +120,6 @@ module Replay : sig
     bool
   (** A recording only applies to the same spec and clustering (by
       physical identity) and the same copy cap it was captured with. *)
-
-  val adoptable :
-    recording -> ?copy_cap:int -> Crusade_taskgraph.Spec.t -> bool
-  (** Weaker than {!compatible}: the recording may be used as a diff
-      basis under a {e different} clustering identity as long as the
-      physical spec and copy cap match.  Sound because the recording's
-      snapshot and {!prepare}'s diff are entirely task- and
-      resource-indexed — every clustering-induced change shows up as a
-      per-task placement/priority delta and lands in the rescheduled
-      cut; the adopted prefix replays bit-identically. *)
 
   val record :
     ?copy_cap:int ->
@@ -141,7 +139,7 @@ module Replay : sig
     (recording, string) result
   (** Like {!record} but skips schedule materialization (no instance
       records, activity intervals or mode-switch counts are built).  For
-      commit points that only need to refresh the replay basis. *)
+      a replay basis whose schedule is not needed. *)
 
   type prep
 

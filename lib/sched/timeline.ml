@@ -102,7 +102,7 @@ let insert t ~ready ~duration =
    normalized (sorted, disjoint, coalesced) arrays [add] maintains —
    normalization is canonical, so the rebuilt state is bit-identical no
    matter what order the intervals were originally committed in.  Used by
-   the incremental engine's prefix replay. *)
+   prefix replay. *)
 let append t start stop =
   if t.n > 0 && start <= t.stops.(t.n - 1) then begin
     if stop > t.stops.(t.n - 1) then t.stops.(t.n - 1) <- stop

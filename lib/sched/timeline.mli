@@ -28,15 +28,15 @@ val insert_preemptible :
     existing reservations, paying [chunk_penalty] extra work per cut.
     Chunks smaller than a quarter of the total are not created.  Returns
     (start of first chunk, finish of last chunk).  [?on_commit] is called
-    once per committed chunk with its (start, stop) — the incremental
-    engine records the exact reservations this call made. *)
+    once per committed chunk with its (start, stop) — a recording run
+    captures the exact reservations this call made. *)
 
 val append : t -> int -> int -> unit
 (** Appends a busy interval whose start is at or after every existing
     interval's start, coalescing when touching.  Replaying a timeline's
     committed intervals in start order through [append] rebuilds exactly
     the state the original out-of-order {!insert} calls produced (the
-    normalized representation is canonical).  Incremental-replay only;
+    normalized representation is canonical).  Prefix replay only;
     feeding it unsorted intervals corrupts the timeline. *)
 
 val busy : t -> (int * int) list

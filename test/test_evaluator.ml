@@ -302,9 +302,9 @@ let determinism_small_window () =
    counters, so identical back-to-back runs report identical, exact
    statistics instead of accumulating across runs. *)
 let eval_stats_per_run () =
-  let spec = Examples.figure4 Helpers.small_lib in
+  let spec = W.generate Helpers.stock_lib (W.scaled (W.preset "HRXC") 24.0) in
   let stats_of () =
-    let r = synthesize_with spec Helpers.small_lib in
+    let r = synthesize_with spec Helpers.stock_lib in
     (result_signature r, r.C.eval_stats)
   in
   let sig1, s1 = stats_of () in
@@ -312,7 +312,8 @@ let eval_stats_per_run () =
   check Alcotest.bool "identical runs synthesize identically" true (sig1 = sig2);
   check Alcotest.bool "identical runs report identical eval stats" true (s1 = s2);
   check Alcotest.bool "counters did not accumulate across runs" true
-    (s2.C.rebuilds > 0 && s2.C.rebuilds = s1.C.rebuilds)
+    (s2.C.rollbacks > 0 && s2.C.rollbacks = s1.C.rollbacks
+    && s2.C.pruned > 0 && s2.C.pruned = s1.C.pruned)
 
 (* Tracing covers every phase of the flow and never perturbs the
    synthesis result. *)

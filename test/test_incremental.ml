@@ -7,11 +7,9 @@
    a fresh [Schedule.run] on it.  Micro-specs pin the structurally
    interesting cases (single PE, a shared link, a mode-window boundary,
    the copy-cap extrapolation edge); a qcheck property sweeps random
-   workloads under random single-cluster perturbations.  A second group
-   pins cross-basis adoption: a recording taken under one clustering
-   identity must serve as a partial replay basis for another clustering
-   of the same spec — full prefix when the content is identical, cut
-   region alone rescheduled when it is not — again bit-identically. *)
+   workloads under random single-cluster perturbations.  A second
+   property pins the verdict-only run candidate evaluation uses instead
+   of a replay when there is no warm basis. *)
 
 module Spec = Crusade_taskgraph.Spec
 module Clustering = Crusade_cluster.Clustering
@@ -240,198 +238,40 @@ let replay_exact_under_perturbation =
           | Ok _, Error _ | Error _, Ok _ -> false)
         [ 1; 2; 3 ])
 
-(* Keyed recording slots: a basis published under clustering A and one
-   under clustering B must both be retained, exact keys must be
-   preferred over adoption, and a *third* clustering identity of the
-   same spec must still be served by replay — through cross-basis
-   adoption of a retained recording rather than a cold rebuild.  This is
-   what lets portfolio trajectories seed each other's bases. *)
-let keyed_slots () =
-  let module I = Crusade_sched.Incremental in
-  let lib = Helpers.stock_lib in
-  let spec = W.generate lib (tiny_params 3) in
-  let cl_a = Clustering.run ~max_cluster_size:4 spec lib in
-  let cl_b = Clustering.run ~max_cluster_size:2 spec lib in
-  let arch_a = Arch.create lib in
-  place_all spec cl_a arch_a;
-  let arch_b = Arch.create lib in
-  place_all spec cl_b arch_b;
-  let eng = I.create () in
-  let seed clustering arch =
-    match I.record eng spec clustering arch with
-    | Ok _ -> ()
-    | Error msg -> Alcotest.failf "record failed: %s" msg
-  in
-  let expect what = function
-    | `Ran (Ok _) when what = `Ran -> ()
-    | `Replayed (Ok _) when what = `Replayed -> ()
-    | `Ran (Error msg) | `Replayed (Error msg) ->
-        Alcotest.failf "evaluation failed: %s" msg
-    | `Ran (Ok _) -> Alcotest.fail "expected a replay, got a cold rebuild"
-    | `Replayed (Ok _) -> Alcotest.fail "expected a rebuild, got a replay"
-  in
-  seed cl_a arch_a;
-  seed cl_b arch_b;
-  expect `Replayed (I.evaluate eng spec cl_a arch_a);
-  expect `Replayed (I.evaluate eng spec cl_b arch_b);
-  check Alcotest.int "exact keys replay without adoption" 0 (I.adoptions eng);
-  check Alcotest.int "rebuilds" 2 (I.rebuilds eng);
-  check Alcotest.int "replays" 2 (I.replays eng);
-  (* A clustering identity the store has never seen: no exact key, but a
-     same-spec basis is adopted instead of paying a cold rebuild. *)
-  let cl_c = Clustering.run ~max_cluster_size:3 spec lib in
-  let arch_c = Arch.create lib in
-  place_all spec cl_c arch_c;
-  expect `Replayed (I.evaluate eng spec cl_c arch_c);
-  check Alcotest.int "third identity adopts a retained basis" 1
-    (I.adoptions eng);
-  check Alcotest.int "no extra rebuild" 2 (I.rebuilds eng)
+(* --- Property: verdict-only runs --------------------------------------- *)
 
-(* --- Cross-basis adoption: content-identical clustering -------------- *)
-
-(* A recording taken under clustering A seeds a replay under a
-   physically distinct but content-identical clustering B.  The
-   scheduler reads the clustering only through the task-indexed
-   site/priority arrays, which are equal here, so nothing is dirty: the
-   adopted prefix covers every step and the result is bit-identical. *)
-let adoption_exact () =
-  let lib = Helpers.stock_lib in
-  let spec = W.generate lib (tiny_params 7) in
-  let cl_a = Clustering.run ~max_cluster_size:4 spec lib in
-  let cl_b = Clustering.run ~max_cluster_size:4 spec lib in
-  check Alcotest.bool "clustering identities distinct" false (cl_a == cl_b);
-  let arch = Arch.create lib in
-  place_all spec cl_a arch;
-  let recording =
-    match Schedule.Replay.record spec cl_a arch with
-    | Ok (_, r) -> r
-    | Error msg -> Alcotest.failf "record failed: %s" msg
-  in
-  check Alcotest.bool "not an exact key for the other identity" false
-    (Schedule.Replay.compatible recording spec cl_b);
-  check Alcotest.bool "adoptable under the same spec" true
-    (Schedule.Replay.adoptable recording spec);
-  let prep = Schedule.Replay.prepare recording spec cl_b arch in
-  check Alcotest.int "full prefix adopted"
-    (Schedule.Replay.steps recording)
-    (Schedule.Replay.cut prep);
-  match (Schedule.run spec cl_b arch, Schedule.Replay.replay_run prep) with
-  | Ok fresh, Ok replayed ->
-      check Alcotest.bool "adopted replay bit-identical" true
-        (scheds_equal fresh replayed)
-  | Error a, Error b ->
-      check Alcotest.string "fails identically" a b
-  | Ok _, Error _ | Error _, Ok _ ->
-      Alcotest.fail "adopted replay and fresh run disagree on success"
-
-(* --- Cross-basis adoption: disjoint-subgraph perturbation ------------ *)
-
-(* Two disjoint graphs; the early chain holds the tight deadline (so its
-   pops lead the recording), the late chain is perturbed.  Adopting the
-   basis under a distinct clustering identity must replay the early
-   prefix untouched and reschedule only the cut region, landing
-   bit-identically on the fresh run. *)
-let adoption_perturbed () =
-  let lib = Helpers.small_lib in
-  let b = Spec.Builder.create () in
-  let early =
-    Spec.Builder.add_graph b ~name:"early" ~period:4_000 ~deadline:1_000 ()
-  in
-  let late =
-    Spec.Builder.add_graph b ~name:"late" ~period:4_000 ~deadline:4_000 ()
-  in
-  let e1 =
-    Spec.Builder.add_task b ~graph:early ~name:"e1"
-      ~exec:(Helpers.cpu_exec ~lib 200) ()
-  in
-  let e2 =
-    Spec.Builder.add_task b ~graph:early ~name:"e2"
-      ~exec:(Helpers.cpu_exec ~lib 200) ()
-  in
-  Spec.Builder.add_edge b ~src:e1 ~dst:e2 ~bytes:32;
-  let l1 =
-    Spec.Builder.add_task b ~graph:late ~name:"l1"
-      ~exec:(Helpers.cpu_exec ~lib 200) ()
-  in
-  let l2 =
-    Spec.Builder.add_task b ~graph:late ~name:"l2"
-      ~exec:(Helpers.cpu_exec ~lib 200) ()
-  in
-  Spec.Builder.add_edge b ~src:l1 ~dst:l2 ~bytes:32;
-  let spec = Spec.Builder.finish_exn b ~name:"adoption-perturbed" () in
-  let cl_a = clustering_of ~max_cluster_size:1 spec lib in
-  let cl_b = clustering_of ~max_cluster_size:1 spec lib in
-  let arch = Arch.create lib in
-  place_all spec cl_a arch;
-  let recording =
-    match Schedule.Replay.record spec cl_a arch with
-    | Ok (_, r) -> r
-    | Error msg -> Alcotest.failf "record failed: %s" msg
-  in
-  (* Perturb only the late chain, then evaluate under the distinct
-     clustering identity. *)
-  move_cluster spec cl_b arch cl_b.Clustering.of_task.(l1);
-  let prep = Schedule.Replay.prepare recording spec cl_b arch in
-  let cut = Schedule.Replay.cut prep
-  and steps = Schedule.Replay.steps recording in
-  if not (0 < cut && cut < steps) then
-    Alcotest.failf "expected a partial adopted prefix, got cut %d of %d" cut
-      steps;
-  match (Schedule.run spec cl_b arch, Schedule.Replay.replay_run prep) with
-  | Ok fresh, Ok replayed ->
-      check Alcotest.bool "cut-region reschedule bit-identical" true
-        (scheds_equal fresh replayed)
-  | Error a, Error b ->
-      check Alcotest.string "fails identically" a b
-  | Ok _, Error _ | Error _, Ok _ ->
-      Alcotest.fail "adopted replay and fresh run disagree on success"
-
-(* --- Property: adoption across random clustering handoffs ------------ *)
-
-(* A basis recorded under one clustering of a random workload is adopted
-   by a physically distinct clustering — same content on even seeds,
-   different granularity on odd ones — whose architecture then drifts
-   through random moves.  Every adopted replay must stay bit-identical
-   to the fresh run, exactly the contract the shared portfolio store
-   leans on. *)
-let adoption_exact_under_perturbation =
+(* Stage 2 of candidate evaluation is [Schedule.run_verdict]: on every
+   architecture a run of random moves passes through, it must agree with
+   the verdict fields of a full run, including agreeing on failure. *)
+let run_verdict_exact_under_perturbation =
   QCheck.Test.make
-    ~name:"adopted replay is bit-identical under random clustering handoffs"
-    ~count:25
+    ~name:"run_verdict equals run's verdict under random moves" ~count:25
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let lib = Helpers.stock_lib in
       let spec = W.generate lib (tiny_params ((seed mod 997) + 1)) in
-      let cl_rec = Clustering.run ~max_cluster_size:4 spec lib in
-      let cl_new =
-        Clustering.run
-          ~max_cluster_size:(if seed mod 2 = 0 then 4 else 3)
-          spec lib
-      in
-      let arch_rec = Arch.create lib in
-      place_all spec cl_rec arch_rec;
-      let recording =
-        match Schedule.Replay.record spec cl_rec arch_rec with
-        | Ok (_, r) -> r
-        | Error msg -> QCheck.Test.fail_reportf "record failed: %s" msg
-      in
-      if not (Schedule.Replay.adoptable recording spec) then
-        QCheck.Test.fail_reportf "recording not adoptable under its own spec";
+      let clustering = Clustering.run ~max_cluster_size:4 spec lib in
       let arch = Arch.create lib in
-      place_all spec cl_new arch;
+      place_all spec clustering arch;
       let rng = Random.State.make [| seed |] in
-      let nc = Array.length cl_new.Clustering.clusters in
-      List.for_all
-        (fun (_ : int) ->
-          move_cluster spec cl_new arch (Random.State.int rng nc);
-          let prep = Schedule.Replay.prepare recording spec cl_new arch in
-          match
-            (Schedule.run spec cl_new arch, Schedule.Replay.replay_run prep)
-          with
-          | Ok fresh, Ok replayed -> scheds_equal fresh replayed
-          | Error a, Error b -> a = b
-          | Ok _, Error _ | Error _, Ok _ -> false)
-        [ 1; 2; 3 ])
+      let nc = Array.length clustering.Clustering.clusters in
+      let agrees () =
+        match
+          (Schedule.run spec clustering arch, Schedule.run_verdict spec clustering arch)
+        with
+        | Ok fresh, Ok v ->
+            v.Schedule.v_tardiness = fresh.Schedule.total_tardiness
+            && v.Schedule.v_met = fresh.Schedule.deadlines_met
+            && v.Schedule.v_scheduled = fresh.Schedule.scheduled_tasks
+        | Error a, Error b -> a = b
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      agrees ()
+      && List.for_all
+           (fun (_ : int) ->
+             move_cluster spec clustering arch (Random.State.int rng nc);
+             agrees ())
+           [ 1; 2; 3 ])
 
 let suite =
   [
@@ -439,9 +279,6 @@ let suite =
     ("shared link", `Quick, shared_link);
     ("mode-window boundary", `Quick, mode_window);
     ("copy-cap extrapolation edge", `Quick, copy_cap_edge);
-    ("keyed recording slots", `Quick, keyed_slots);
-    ("adoption: content-identical clustering", `Quick, adoption_exact);
-    ("adoption: disjoint-subgraph perturbation", `Quick, adoption_perturbed);
     qcheck replay_exact_under_perturbation;
-    qcheck adoption_exact_under_perturbation;
+    qcheck run_verdict_exact_under_perturbation;
   ]

@@ -187,8 +187,8 @@ let merge_potential_counts () =
   let _, _, arch = two_device_arch () in
   check Alcotest.int "2 PPEs + 0 links" 2 (Merge.merge_potential arch)
 
-(* The incremental producer (jobs = 1: in-place journaled trials,
-   schedules replayed against a warm basis) must reproduce the batch
+(* The incremental producer (jobs = 1: in-place journaled trials under
+   the undo journal) must reproduce the batch
    producer (jobs = 2: pooled per-trial copies) bit for bit: same
    accepted architecture, same schedule, same stats counters. *)
 let merge_incremental_matches_batch () =

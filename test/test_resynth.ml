@@ -169,6 +169,44 @@ let report_latency () =
   check Alcotest.bool "latency is non-negative" true
     (rep.R.resynth_seconds >= 0.0)
 
+(* A graph arrival's repair replays its trials against one recording
+   of the post-change architecture.  On a preset it must take that path
+   ([replays > 0]) and produce the report the reference evaluator (full
+   runs, no replay) produces. *)
+let arrival_replays_match_reference () =
+  let spec = W.generate lib (W.scaled (W.preset "A1TR") 8.0) in
+  let g = last_graph spec in
+  let deployed = synthesize ~include_graph:(fun g' -> g' <> g) spec in
+  let change = R.Graph_arrival [ g ] in
+  let signature (rep : R.report) =
+    ( (match rep.R.verdict with
+      | R.Images_only { added_images; _ } -> Printf.sprintf "images %d" added_images
+      | R.Needs_hardware { added_pes; added_cost; _ } ->
+          Printf.sprintf "hardware %d %.6f" added_pes added_cost
+      | R.Infeasible -> "infeasible"),
+      Option.map C.result_json (R.final_result rep),
+      rep.R.reprogram_attempt,
+      rep.R.hardware_attempt,
+      (rep.R.ripped_clusters, rep.R.added_pes, rep.R.removed_pes, rep.R.cost_delta) )
+  in
+  let warm = apply deployed change in
+  let reference =
+    apply ~options:{ C.default_options with C.incremental = false } deployed change
+  in
+  (match R.final_result warm with
+  | None -> Alcotest.fail "a graph arrival on A1TR should be repairable"
+  | Some r ->
+      check Alcotest.bool "warm repair replays against its basis" true
+        (r.C.eval_stats.C.replays > 0));
+  (match R.final_result reference with
+  | Some r ->
+      check Alcotest.int "the reference evaluator never replays" 0
+        r.C.eval_stats.C.replays
+  | None -> ());
+  check Alcotest.bool "report equals the reference evaluator's" true
+    (signature warm = signature reference);
+  assert_clean_audit warm
+
 (* Differential property: across random workloads and every change
    kind, the warm repair reaches the same feasibility verdict as
    synthesizing the post-change workload from scratch, and the repaired
@@ -217,5 +255,7 @@ let suite =
     Alcotest.test_case "change validation" `Quick change_validation;
     Alcotest.test_case "FT PE failure re-provisions spares" `Quick ft_pe_failure;
     Alcotest.test_case "report carries repair latency" `Quick report_latency;
+    Alcotest.test_case "graph arrival replays match the reference" `Quick
+      arrival_replays_match_reference;
     qcheck resynth_matches_scratch;
   ]

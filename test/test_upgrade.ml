@@ -116,7 +116,7 @@ let report_audits_clean () =
       | vs -> Alcotest.failf "upgrade report fails its audit (%d)" (List.length vs))
 
 (* The verdict is stable across the evaluator options the flow can run
-   under: incremental rescheduling off, and perturbed portfolio
+   under: the reference evaluator, and perturbed portfolio
    trajectory options. *)
 let verdict_constructor = function
   | Upgrade.Reprogramming_only _ -> "reprogramming-only"
